@@ -330,8 +330,10 @@ void BM_AStarSmallville(benchmark::State& state) {
       world::nearest_walkable(map, map.object("bed_0")->tile);
   const Tile goal =
       world::nearest_walkable(map, map.arena("bar")->rect.center());
+  // One scratch across queries, as the trace generator uses it.
+  world::PathScratch scratch(map);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(world::find_path(map, start, goal));
+    benchmark::DoNotOptimize(world::find_path(map, start, goal, scratch));
   }
 }
 BENCHMARK(BM_AStarSmallville);

@@ -159,6 +159,12 @@ world::GridMap segment_map(const ScenarioSpec& spec) {
   return world::GridMap(1, 1);
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 /// One engine run's LLM stack, per the spec's clock: a fixed-latency fake
 /// measured on the wall clock, or a CostModelLlmClient pricing calls on
 /// the spec's model/GPU/parallelism over a scaled virtual SimClock.
@@ -181,9 +187,7 @@ struct EngineLlmStack {
   /// Completion in report units: virtual seconds when priced, else wall.
   double completion_seconds() const {
     if (clock != nullptr) return clock->elapsed_seconds();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start)
-        .count();
+    return seconds_since(wall_start);
   }
 };
 
@@ -265,6 +269,8 @@ std::string ScenarioReport::summary() const {
       scenario.c_str(), backend_name(backend), agents, steps,
       static_cast<unsigned long long>(total_calls),
       static_cast<unsigned long long>(agent_steps));
+  out += strformat("setup       %10.2fs (host wall, map + trace)\n",
+                   setup_seconds);
   if (days > 1) {
     out += strformat("days=%d  steps/day=%d\n", days, steps_per_day);
   }
@@ -520,7 +526,9 @@ ScenarioReport ScenarioDriver::run(bool serial_baseline) const {
 }
 
 ScenarioReport ScenarioDriver::run_des(bool serial_baseline) const {
+  const auto setup_start = std::chrono::steady_clock::now();
   const trace::SimulationTrace tr = build_trace();
+  const double setup_seconds = seconds_since(setup_start);
   replay::ExperimentConfig cfg = experiment_config();
   const bool multi_day = spec_.days > 1;
 
@@ -539,6 +547,7 @@ ScenarioReport ScenarioDriver::run_des(bool serial_baseline) const {
   ScenarioReport r;
   r.scenario = spec_.name;
   r.backend = Backend::kDes;
+  r.setup_seconds = setup_seconds;
   r.agents = tr.n_agents;
   r.steps = tr.n_steps;
   r.days = spec_.days;
@@ -586,9 +595,11 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
   const bool graph = spec_.world == WorldKind::kGraph;
   // Graph worlds stand on a node-count-by-1 substrate map (bounds checks
   // only); the dependency metric measures hops over the trace's graph.
+  const auto setup_start = std::chrono::steady_clock::now();
   const world::GridMap map =
       graph ? world::GridMap(spec_.graph_nodes, 1) : build_map();
   const trace::SimulationTrace tr = build_trace();
+  const double setup_seconds = seconds_since(setup_start);
   const std::shared_ptr<const core::Metric> metric =
       graph ? std::make_shared<core::GraphMetric>(tr.graph_adjacency)
             : nullptr;
@@ -770,6 +781,7 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
   ScenarioReport r;
   r.scenario = spec_.name;
   r.backend = Backend::kEngine;
+  r.setup_seconds = setup_seconds;
   r.agents = tr.n_agents;
   r.steps = tr.n_steps;
   r.days = spec_.days;
@@ -818,7 +830,9 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
 }
 
 ScenarioReport ScenarioDriver::run_engine_gym(bool serial_baseline) const {
+  const auto setup_start = std::chrono::steady_clock::now();
   const world::GridMap map = build_map();
+  const double setup_seconds = seconds_since(setup_start);
   const std::int32_t n = spec_.agents;
   const std::vector<Tile> starts = plan_gym_starts(map, n);
 
@@ -862,6 +876,7 @@ ScenarioReport ScenarioDriver::run_engine_gym(bool serial_baseline) const {
   ScenarioReport r;
   r.scenario = spec_.name;
   r.backend = Backend::kEngine;
+  r.setup_seconds = setup_seconds;
   r.agents = n;
   r.steps = spec_.sim_steps();
   r.days = spec_.days;

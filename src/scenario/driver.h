@@ -47,6 +47,10 @@ struct ScenarioReport {
   /// "profile:count,..." in mix order; empty for homogeneous runs.
   std::string population;
 
+  /// Host wall seconds run() spent building the map and the trace,
+  /// before any replay or engine run starts.
+  double setup_seconds = 0.0;
+
   /// Completion times in seconds: virtual for the DES backend and for the
   /// engine backend under clock = virtual, wall-clock otherwise.
   /// `sync_seconds` is DES-only (lock-step with a global barrier); serial

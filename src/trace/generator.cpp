@@ -7,12 +7,14 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "runtime/task_pool.h"
 #include "world/pathfinding.h"
 
 namespace aimetro::trace {
@@ -264,6 +266,7 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
     return a.home;
   };
 
+  world::PathScratch paths(map);
   std::int32_t next_conversation_id = 0;
   std::vector<Interaction> interactions;
   std::map<std::pair<AgentId, AgentId>, Step> last_conversation;
@@ -338,7 +341,7 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
         const world::Arena* arena = map.arena(want);
         AIM_CHECK(arena != nullptr);
         const Tile goal = random_tile_in(map, *arena, rng);
-        a.path = world::find_path(map, a.tile, goal);
+        a.path = world::find_path(map, a.tile, goal, paths);
         a.path_idx = a.path.empty() ? 0 : 1;  // path[0] == current tile
       }
       if (a.path_idx < a.path.size()) {
@@ -346,14 +349,14 @@ SimulationTrace generate(const GridMap& map, const GeneratorConfig& cfg) {
       } else if (rng.bernoulli(0.15)) {
         // Idle wander within the current arena.
         const world::Arena* arena = map.arena_at(a.tile);
-        auto neighbors = map.neighbors(a.tile);
-        std::vector<Tile> candidates;
-        for (Tile n : neighbors) {
-          if (!arena || arena->rect.contains(n)) candidates.push_back(n);
-        }
-        if (!candidates.empty()) {
-          a.tile = candidates[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(candidates.size()) - 1))];
+        std::array<Tile, 4> candidates;
+        std::int64_t n_candidates = 0;
+        map.for_each_neighbor(a.tile, [&](Tile n) {
+          if (!arena || arena->rect.contains(n)) candidates[n_candidates++] = n;
+        });
+        if (n_candidates > 0) {
+          a.tile = candidates[static_cast<std::size_t>(
+              rng.uniform_int(0, n_candidates - 1))];
         }
       }
       positions[static_cast<std::size_t>(a.id)].push_back(a.tile);
@@ -663,11 +666,13 @@ SimulationTrace generate_concatenated(
     cfg.n_agents = agents_per_segment.front();
     return generate_episode(segment, cfg);
   }
-  std::vector<SimulationTrace> segments;
-  segments.reserve(agents_per_segment.size());
+  const std::size_t n_segments = agents_per_segment.size();
+  GeneratorConfig shared = base;
+  shared.agent_profiles.clear();
+  std::vector<GeneratorConfig> cfgs(n_segments, shared);
   std::int32_t agent_offset = 0;
-  for (std::size_t k = 0; k < agents_per_segment.size(); ++k) {
-    GeneratorConfig cfg = base;
+  for (std::size_t k = 0; k < n_segments; ++k) {
+    GeneratorConfig& cfg = cfgs[k];
     cfg.n_agents = agents_per_segment[k];
     cfg.seed = base.seed + static_cast<std::uint64_t>(k) * 0x9e3779b9ULL;
     if (!base.agent_profiles.empty()) {
@@ -677,9 +682,28 @@ SimulationTrace generate_concatenated(
       cfg.agent_profiles.assign(begin, begin + agents_per_segment[k]);
     }
     agent_offset += agents_per_segment[k];
-    segments.push_back(generate_episode(segment, cfg));
   }
-  return concatenate_segments(segments, segment.width() + 1);
+  // Segments share nothing but the read-only map: each has its own seed
+  // and writes only its own slot, and concatenation runs in index order,
+  // so the result is independent of how the tasks interleave. The waiting
+  // caller runs tasks too, hence one worker fewer than the host's cores.
+  std::vector<SimulationTrace> segments(n_segments);
+  std::vector<runtime::TaskPool::Task> tasks;
+  tasks.reserve(n_segments);
+  for (std::size_t k = 0; k < n_segments; ++k) {
+    tasks.push_back(
+        [&, k] { segments[k] = generate_episode(segment, cfgs[k]); });
+  }
+  const auto workers = std::min<std::int64_t>(
+      static_cast<std::int64_t>(std::thread::hardware_concurrency()) - 1,
+      static_cast<std::int64_t>(n_segments));
+  if (workers >= 1) {
+    runtime::TaskPool pool(static_cast<std::int32_t>(workers));
+    pool.submit_and_wait(std::move(tasks));
+  } else {
+    for (auto& task : tasks) task();
+  }
+  return concatenate_segments(std::move(segments), segment.width() + 1);
 }
 
 SimulationTrace generate_large_ville(std::int32_t n_segments,

@@ -180,8 +180,8 @@ SimulationTrace slice(const SimulationTrace& full, Step begin, Step end) {
   return out;
 }
 
-SimulationTrace concatenate_segments(
-    const std::vector<SimulationTrace>& segments, std::int32_t stride_x) {
+SimulationTrace concatenate_segments(std::vector<SimulationTrace> segments,
+                                     std::int32_t stride_x) {
   AIM_CHECK(!segments.empty());
   const SimulationTrace& first = segments.front();
   AIM_CHECK_MSG(first.world_kind == WorldKind::kGrid,
@@ -196,25 +196,30 @@ SimulationTrace concatenate_segments(
   out.max_vel = first.max_vel;
   out.map_width = stride_x * static_cast<std::int32_t>(segments.size());
   out.map_height = first.map_height;
-  for (std::size_t k = 0; k < segments.size(); ++k) {
-    const SimulationTrace& seg = segments[k];
+  std::size_t total_agents = 0;
+  std::size_t total_interactions = 0;
+  for (const SimulationTrace& seg : segments) {
     AIM_CHECK_MSG(seg.n_steps == first.n_steps &&
                       seg.start_step == first.start_step &&
                       seg.radius_p == first.radius_p &&
                       seg.max_vel == first.max_vel,
                   "segment shapes differ");
     AIM_CHECK_MSG(seg.map_width <= stride_x, "stride narrower than segment");
+    total_agents += seg.agents.size();
+    total_interactions += seg.interactions.size();
+  }
+  out.agents.reserve(total_agents);
+  out.interactions.reserve(total_interactions);
+  for (std::size_t k = 0; k < segments.size(); ++k) {
+    SimulationTrace& seg = segments[k];
     const AgentId id_off = out.n_agents;
     const std::int32_t x_off = static_cast<std::int32_t>(k) * stride_x;
-    for (const AgentTrace& a : seg.agents) {
-      AgentTrace moved;
-      moved.agent = a.agent + id_off;
-      moved.positions.reserve(a.positions.size());
-      for (Tile t : a.positions) {
-        moved.positions.push_back(Tile{t.x + x_off, t.y});
-      }
-      moved.calls = a.calls;
-      for (LlmCall& c : moved.calls) {
+    // Segments are owned here: shift them in place and move them over,
+    // so a day of positions never exists twice.
+    for (AgentTrace& a : seg.agents) {
+      a.agent += id_off;
+      for (Tile& t : a.positions) t.x += x_off;
+      for (LlmCall& c : a.calls) {
         c.agent += id_off;
         if (c.conversation_id >= 0) {
           // Keep conversation ids unique across segments, and rehash the
@@ -227,7 +232,7 @@ SimulationTrace concatenate_segments(
           c.prompt_hash = conversation_prompt_hash(c.conversation_id);
         }
       }
-      out.agents.push_back(std::move(moved));
+      out.agents.push_back(std::move(a));
     }
     for (Interaction in : seg.interactions) {
       in.a += id_off;

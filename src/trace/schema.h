@@ -117,9 +117,10 @@ SimulationTrace slice(const SimulationTrace& full, Step begin, Step end);
 /// Place independent segment traces side-by-side in space (agent ids and x
 /// coordinates offset by segment), sharing the same time axis — the paper's
 /// "large ville" construction (§4.3). All segments must have identical
-/// shape (steps/window/params).
-SimulationTrace concatenate_segments(
-    const std::vector<SimulationTrace>& segments, std::int32_t stride_x);
+/// shape (steps/window/params). Takes the segments by value and moves
+/// their agents into the result: pass them with std::move to avoid a copy.
+SimulationTrace concatenate_segments(std::vector<SimulationTrace> segments,
+                                     std::int32_t stride_x);
 
 /// Prompt-prefix identity of a conversation: every turn of one conversation
 /// shares the prompt prefix in the cache model, so all of its calls carry

@@ -15,10 +15,6 @@ GridMap::GridMap(std::int32_t width, std::int32_t height)
   AIM_CHECK(width > 0 && height > 0);
 }
 
-bool GridMap::walkable(Tile t) const {
-  return in_bounds(t) && walkable_[idx(t)];
-}
-
 void GridMap::set_walkable(Tile t, bool walkable) {
   AIM_CHECK(in_bounds(t));
   walkable_[idx(t)] = walkable;
@@ -36,11 +32,7 @@ void GridMap::block_rect(const Rect& r) {
 std::vector<Tile> GridMap::neighbors(Tile t) const {
   std::vector<Tile> out;
   out.reserve(4);
-  const Tile candidates[4] = {
-      {t.x + 1, t.y}, {t.x - 1, t.y}, {t.x, t.y + 1}, {t.x, t.y - 1}};
-  for (const Tile& c : candidates) {
-    if (walkable(c)) out.push_back(c);
-  }
+  for_each_neighbor(t, [&](Tile c) { out.push_back(c); });
   return out;
 }
 

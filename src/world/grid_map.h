@@ -56,13 +56,23 @@ class GridMap {
   bool in_bounds(Tile t) const {
     return t.x >= 0 && t.x < width_ && t.y >= 0 && t.y < height_;
   }
-  bool walkable(Tile t) const;
+  bool walkable(Tile t) const { return in_bounds(t) && walkable_[idx(t)]; }
   void set_walkable(Tile t, bool walkable);
   /// Marks every tile in `r` unwalkable (a building block / wall).
   void block_rect(const Rect& r);
 
-  /// Walkable 4-neighbors of `t`.
+  /// Walkable 4-neighbors of `t`, in the fixed order +x, -x, +y, -y.
   std::vector<Tile> neighbors(Tile t) const;
+  /// Calls `fn(tile)` for each walkable 4-neighbor of `t`, in the same
+  /// order as neighbors(), without allocating.
+  template <typename Fn>
+  void for_each_neighbor(Tile t, Fn&& fn) const {
+    const Tile candidates[4] = {
+        {t.x + 1, t.y}, {t.x - 1, t.y}, {t.x, t.y + 1}, {t.x, t.y - 1}};
+    for (const Tile& c : candidates) {
+      if (walkable(c)) fn(c);
+    }
+  }
 
   // ---- Arenas ----
   void add_arena(std::string name, Rect rect);

@@ -1130,6 +1130,9 @@ TEST(Report, SummaryOmitsBaselineWhenSerialSkipped) {
 
   const auto with = ScenarioDriver(*spec).run(/*serial_baseline=*/true);
   EXPECT_TRUE(with.has_serial);
+  // Building the map and trace is timed and printed whatever the mode.
+  EXPECT_GT(with.setup_seconds, 0.0);
+  EXPECT_NE(with.summary().find("setup "), std::string::npos);
   EXPECT_NE(with.summary().find("baseline"), std::string::npos);
   EXPECT_NE(with.summary().find("vs serial"), std::string::npos);
 
@@ -1160,6 +1163,8 @@ TEST(Report, EngineRunsSurfaceChainPoolDiagnostics) {
   EXPECT_EQ(engine.pool_workers, spec->resolved_pool_workers());
   EXPECT_GE(engine.peak_inflight_tasks, 1u);
   EXPECT_NE(engine.summary().find("chain-pool"), std::string::npos);
+  EXPECT_GT(engine.setup_seconds, 0.0);
+  EXPECT_NE(engine.summary().find("setup "), std::string::npos);
 
   // An explicit pool_workers override is what the run actually uses.
   spec->pool_workers = 3;

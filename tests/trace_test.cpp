@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "scenario/driver.h"
+#include "scenario/registry.h"
 #include "trace/generator.h"
 #include "trace/schema.h"
 #include "trace/serialize.h"
@@ -13,6 +19,13 @@
 
 namespace aimetro::trace {
 namespace {
+
+/// save_binary bytes of `trace`: byte equality is the determinism bar.
+std::string binary_bytes(const SimulationTrace& trace) {
+  std::ostringstream os;
+  save_binary(trace, os);
+  return os.str();
+}
 
 SimulationTrace day_trace(std::uint64_t seed, std::int32_t n_agents = 25) {
   const auto map = world::GridMap::smallville(std::min(n_agents, 26));
@@ -134,6 +147,32 @@ TEST(Concatenate, OffsetsAgentsAndSpace) {
   for (const Interaction& in : big.interactions) {
     EXPECT_EQ(in.a / 5, in.b / 5);
   }
+}
+
+TEST(Concatenate, ConcurrentSegmentsMatchSerialAssembly) {
+  // Segments generate concurrently on a task pool; the result must equal
+  // generating each one alone and concatenating in index order, on every
+  // call, however the tasks interleave.
+  const auto segment = world::GridMap::smallville(4);
+  GeneratorConfig cfg;
+  cfg.seed = 11;
+  cfg.days = 2;
+  const std::vector<std::int32_t> counts{3, 4, 2, 3, 3};
+  const std::string first =
+      binary_bytes(generate_concatenated(segment, counts, cfg));
+  const std::string second =
+      binary_bytes(generate_concatenated(segment, counts, cfg));
+  EXPECT_EQ(first, second);
+
+  std::vector<SimulationTrace> parts;
+  for (std::size_t k = 0; k < counts.size(); ++k) {
+    GeneratorConfig seg_cfg = cfg;
+    seg_cfg.n_agents = counts[k];
+    seg_cfg.seed = cfg.seed + static_cast<std::uint64_t>(k) * 0x9e3779b9ULL;
+    parts.push_back(generate_episode(segment, seg_cfg));
+  }
+  EXPECT_EQ(first, binary_bytes(concatenate_segments(std::move(parts),
+                                                     segment.width() + 1)));
 }
 
 TEST(GroupCalls, ChainsOrderedWithinStep) {
@@ -327,6 +366,46 @@ TEST(GraphTrace, ValidateCatchesNonEdgeHopsAndBadAdjacency) {
     SimulationTrace bad = trace;
     bad.map_height = 2;
     EXPECT_THROW(bad.validate(), CheckError);
+  }
+}
+
+// ---- Golden trace hashes ----
+//
+// FNV-1a of the save_binary bytes of one full (unwindowed) episode per
+// trace-bearing registry family, recorded before the generator was
+// parallelized and its A* rewritten. Any change here means traces moved:
+// every recorded digest and benchmark figure downstream moves with them.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(GoldenTrace, RegistryMembersHashAsRecorded) {
+  const std::pair<const char*, std::uint64_t> golden[] = {
+      {"smallville_day", 0xbe5bca36a084271bULL},
+      {"social_hub", 0xe376ae97a5a26a8eULL},
+      {"urban_commute", 0xaa01e821553ef153ULL},
+      {"sparse_ville", 0x3a8422e9db0e81fdULL},
+      {"scaling_ville4", 0x54ef0194e1d61133ULL},
+      {"mixed_ville40", 0x165f26c227bfb094ULL},
+      {"metro_ville100", 0x39124dd20cb5eaa1ULL},
+      {"skewed_ville100", 0x3815dced7fa7d222ULL},
+      {"social_net10", 0xf14b5b456bfba4ddULL},
+      {"metropolis_week", 0xe938cb63a9175e3cULL},
+  };
+  for (const auto& [name, expected] : golden) {
+    std::string error;
+    auto spec = scenario::find_scenario(name, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    spec->window_begin = -1;
+    spec->window_end = -1;
+    const SimulationTrace trace = scenario::ScenarioDriver(*spec).build_trace();
+    EXPECT_EQ(fnv1a(binary_bytes(trace)), expected) << name;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "world/social_graph.h"
 #include "world/spatial_index.h"
 #include "world/world_state.h"
+#include "support/reference_pathfinding.h"
 
 namespace aimetro::world {
 namespace {
@@ -313,6 +314,122 @@ TEST(Pathfinding, UnreachableReturnsEmpty) {
   map.block_rect(Rect{4, 0, 4, 9});
   EXPECT_TRUE(find_path(map, Tile{0, 0}, Tile{9, 9}).empty());
   EXPECT_EQ(find_path(map, Tile{2, 2}, Tile{2, 2}).size(), 1u);
+}
+
+// ---- Flat-array A* vs the hash-map reference ----
+//
+// The flat version must return the reference's exact path (same tiles in
+// the same order), not just one of equal length: trace bytes depend on it.
+
+/// A random tile in or just outside `map` (out-of-bounds tiles exercise
+/// the not-walkable early exit).
+Tile random_query_tile(const GridMap& map, Rng& rng) {
+  return Tile{static_cast<std::int32_t>(rng.uniform_int(-1, map.width())),
+              static_cast<std::int32_t>(rng.uniform_int(-1, map.height()))};
+}
+
+TEST(Pathfinding, FlatMatchesReferenceOnRandomObstacleMaps) {
+  Rng rng(20261);
+  int found = 0, unreachable = 0, same_tile = 0;
+  for (int m = 0; m < 60; ++m) {
+    GridMap map(static_cast<std::int32_t>(rng.uniform_int(1, 40)),
+                static_cast<std::int32_t>(rng.uniform_int(1, 40)));
+    const double density = rng.uniform(0.0, 0.45);
+    for (std::int32_t y = 0; y < map.height(); ++y) {
+      for (std::int32_t x = 0; x < map.width(); ++x) {
+        if (rng.bernoulli(density)) map.set_walkable(Tile{x, y}, false);
+      }
+    }
+    PathScratch scratch(map);
+    for (int q = 0; q < 80; ++q) {
+      const Tile a = random_query_tile(map, rng);
+      // Every eighth query asks for the start tile itself.
+      const Tile b = q % 8 == 0 ? a : random_query_tile(map, rng);
+      const auto expected = test_support::reference_find_path(map, a, b);
+      ASSERT_EQ(find_path(map, a, b, scratch), expected)
+          << "map " << m << " query " << q << " (" << a.x << "," << a.y
+          << ") -> (" << b.x << "," << b.y << ")";
+      if (a == b && map.walkable(a)) {
+        ++same_tile;
+      } else if (expected.empty()) {
+        ++unreachable;
+      } else {
+        ++found;
+      }
+    }
+  }
+  // The sweep really covers all three outcomes.
+  EXPECT_GT(found, 500);
+  EXPECT_GT(unreachable, 500);
+  EXPECT_GT(same_tile, 100);
+}
+
+TEST(Pathfinding, FlatMatchesReferenceAcrossConcatenatedSegments) {
+  const GridMap big = GridMap::concatenate(GridMap::smallville(6), 3);
+  PathScratch scratch(big);
+  Rng rng(7);
+  int crossing = 0;
+  for (int q = 0; q < 120; ++q) {
+    const Tile a = nearest_walkable(big, random_query_tile(big, rng));
+    const Tile b = nearest_walkable(big, random_query_tile(big, rng));
+    const auto path = find_path(big, a, b, scratch);
+    ASSERT_EQ(path, test_support::reference_find_path(big, a, b))
+        << "(" << a.x << "," << a.y << ") -> (" << b.x << "," << b.y << ")";
+    // The divider columns separate the segments.
+    if (a.x / big.segment_stride() != b.x / big.segment_stride()) {
+      EXPECT_TRUE(path.empty());
+      ++crossing;
+    }
+  }
+  EXPECT_GT(crossing, 40);
+}
+
+TEST(Pathfinding, ReusedScratchSurvivesEpochWrap) {
+  // Two halves split by a full wall. The scratch's epoch is 16 bits, so
+  // search number 65,536 wraps it back to the first search's epoch.
+  GridMap map(25, 12);
+  map.block_rect(Rect{12, 0, 12, 11});
+  map.block_rect(Rect{5, 0, 5, 8});
+  map.block_rect(Rect{1, 4, 3, 4});
+  PathScratch scratch(map);
+  // Search 1 floods the whole west half from (0, 0) towards an east
+  // goal it cannot reach, stamping every west tile.
+  ASSERT_TRUE(find_path(map, Tile{0, 0}, Tile{20, 5}, scratch).empty());
+  // Searches 2..65535 stay in the east half.
+  Rng rng(3);
+  auto random_in = [&](std::int32_t x0, std::int32_t x1) {
+    return nearest_walkable(
+        map, Tile{static_cast<std::int32_t>(rng.uniform_int(x0, x1)),
+                  static_cast<std::int32_t>(rng.uniform_int(0, 11))});
+  };
+  for (int search = 2; search <= 65535;) {
+    // Walkable, distinct endpoints: a real search, which advances the
+    // epoch (the early exits do not).
+    const Tile a = random_in(13, 24);
+    const Tile b = random_in(13, 24);
+    if (a == b) continue;
+    ASSERT_FALSE(find_path(map, a, b, scratch).empty()) << "search " << search;
+    ++search;
+  }
+  // After the wrap the west tiles still carry search 1's stamp and its
+  // costs from (0, 0); none of that may leak into the new searches.
+  std::vector<std::pair<Tile, Tile>> west{{Tile{1, 0}, Tile{0, 1}}};
+  while (west.size() < 64) {
+    const Tile a = random_in(0, 11);
+    const Tile b = random_in(0, 11);
+    if (!(a == b)) west.emplace_back(a, b);
+  }
+  for (const auto& [a, b] : west) {
+    ASSERT_EQ(find_path(map, a, b, scratch),
+              test_support::reference_find_path(map, a, b))
+        << "(" << a.x << "," << a.y << ") -> (" << b.x << "," << b.y << ")";
+  }
+}
+
+TEST(Pathfinding, ScratchMustMatchTheMap) {
+  const GridMap map(10, 10);
+  PathScratch scratch(9, 10);
+  EXPECT_THROW(find_path(map, Tile{0, 0}, Tile{3, 3}, scratch), CheckError);
 }
 
 TEST(Pathfinding, NearestWalkable) {
