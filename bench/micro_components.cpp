@@ -2,7 +2,9 @@
 // cost the paper's §3.6 engineering keeps off the critical path.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,20 +67,43 @@ void BM_KvTransaction(benchmark::State& state) {
 }
 BENCHMARK(BM_KvTransaction);
 
-void BM_SpatialIndexQuery(benchmark::State& state) {
+// Box probes over N agents scattered uniformly on a `width` x 100 world.
+// `small_box` is a coupling-sized probe on a 1000-wide world.
+// `ville_lag52` is the shape of metro_ville1000's busy-hour blocking
+// probes: its 5640 x 100 world, coupling-radius (5) cells, and a
+// half-extent of blocking_radius(52) = 57 — the mean lag behind the
+// slowest live agent — so each probe spans ~24 x 24 cells, almost all
+// empty. Counters state the shape: cells per probe, mean candidates.
+void BM_SpatialIndexQuery(benchmark::State& state, double width,
+                          double cell_size, double half_extent) {
   const auto n = static_cast<int>(state.range(0));
-  world::SpatialIndex index(8.0);
+  world::SpatialIndex index(cell_size);
   Rng rng(1);
   for (int i = 0; i < n; ++i) {
-    index.insert(i, Pos{rng.uniform(0, 1000), rng.uniform(0, 100)});
+    index.insert(i, Pos{rng.uniform(0, width), rng.uniform(0, 100)});
   }
+  std::vector<AgentId> out;
+  std::uint64_t candidates = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index.query_box(Pos{rng.uniform(0, 1000), rng.uniform(0, 100)}, 16.0));
+    index.query_box_into(Pos{rng.uniform(0, width), rng.uniform(0, 100)},
+                         half_extent, &out);
+    candidates += out.size();
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
+  const double span = std::ceil(2.0 * half_extent / cell_size) + 1.0;
+  state.counters["N"] = n;
+  state.counters["cells_per_probe"] = span * span;
+  state.counters["mean_candidates"] =
+      static_cast<double>(candidates) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
 }
-BENCHMARK(BM_SpatialIndexQuery)->Arg(100)->Arg(1000);
+BENCHMARK_CAPTURE(BM_SpatialIndexQuery, small_box, 1000.0, 8.0, 16.0)
+    ->Arg(100)
+    ->Arg(1000);
+BENCHMARK_CAPTURE(BM_SpatialIndexQuery, ville_lag52, 5640.0, 5.0, 57.0)
+    ->Arg(1000);
 
 // Full dispatch->commit cycles over a crowd of the given size: the cost
 // of the dependency bookkeeping per agent-step, for the spatial-index
@@ -126,6 +151,48 @@ BENCHMARK_CAPTURE(BM_ScoreboardCommit, indexed, core::ScanMode::kIndexed)
     ->Arg(100)
     ->Arg(1000)
     ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+
+// One giant cluster's commits on the bare scoreboard: n agents packed
+// on a 2-tile lattice (every neighbor inside the coupling radius, so the
+// whole crowd is one cluster at every step) run 2 steps. Each commit
+// re-clusters all n members one by one; sorting the growing member list
+// on every insert made this O(n^2 log n). Counters state the shape:
+// clusters dispatched (2 when the crowd stays one cluster).
+void BM_GiantClusterCommit(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  constexpr Step kTarget = 2;
+  const int side = static_cast<int>(std::ceil(std::sqrt(double(n))));
+  std::vector<Pos> init;
+  for (int i = 0; i < n; ++i) {
+    init.push_back(Pos{2.0 * (i % side), 2.0 * (i / side)});
+  }
+  std::uint64_t clusters = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::Scoreboard sb(core::DependencyParams{4.0, 1.0},
+                        core::make_euclidean(), init, kTarget);
+    state.ResumeTiming();
+    while (!sb.all_done()) {
+      for (auto& cluster : sb.pop_ready_clusters()) {
+        std::vector<std::pair<AgentId, Pos>> moves;
+        moves.reserve(cluster.members.size());
+        for (AgentId m : cluster.members) moves.emplace_back(m, sb.pos_of(m));
+        sb.commit(moves);
+      }
+    }
+    clusters = sb.stats().clusters_dispatched;
+    benchmark::DoNotOptimize(clusters);
+  }
+  state.SetItemsProcessed(state.iterations() * n * kTarget);
+  state.counters["N"] = n;
+  state.counters["clusters"] = static_cast<double>(clusters);
+}
+BENCHMARK(BM_GiantClusterCommit)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(8000)
+    ->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 
 // "Who is within r hops of here" on a social graph, one agent per node:

@@ -306,6 +306,8 @@ void Scoreboard::repartition(const world::RegionPartition& new_partition) {
   //    what they release), and a blocked dirty cluster is silently
   //    skipped at the next pop.
   for (SavedCluster& sc : saved) {
+    // Home by the smallest member, as the construction flood fill does.
+    std::sort(sc.members.begin(), sc.members.end());
     const std::int32_t strip =
         partition_.shard_of(agent(sc.members.front()).pos);
     const std::int64_t cid = new_cluster(sc.step, strip);
@@ -516,8 +518,11 @@ void Scoreboard::cluster_in(AgentId id) {
   ShardData& home_sd = shard(shard_of_cluster(target));
   ClusterRec& rec = home_sd.clusters.at(target);
   node.cluster = target;
+  // Members stay unsorted while the cluster grows: sorting here would cost
+  // O(n log n) per insert, O(n^2 log n) to build an n-member cluster. The
+  // readers that need id order (pop, cluster_of, repartition, to_dot)
+  // sort once.
   rec.members.push_back(id);
-  std::sort(rec.members.begin(), rec.members.end());
   if (!node.blocked_by.empty()) ++rec.blocked_members;
   cluster_span_include(target, home);
   home_sd.dirty_clusters.insert(target);
@@ -542,7 +547,8 @@ void Scoreboard::pop_shard_ready_into(std::int32_t strip,
     // Dispatch: mark members running, drop from idle structures.
     AgentCluster out;
     out.step = rec.step;
-    out.members = rec.members;
+    out.members = std::move(rec.members);
+    std::sort(out.members.begin(), out.members.end());
     for (AgentId m : out.members) {
       AgentNode& node = agent(m);
       AIM_CHECK(node.status == AgentStatus::kIdle);
@@ -710,8 +716,10 @@ std::vector<AgentId> Scoreboard::blockers_of(AgentId id) const {
 std::vector<AgentId> Scoreboard::cluster_of(AgentId id) const {
   const AgentNode& node = agent(id);
   if (node.cluster < 0) return {};
-  return shard(shard_of_cluster(node.cluster)).clusters.at(node.cluster)
-      .members;
+  std::vector<AgentId> members =
+      shard(shard_of_cluster(node.cluster)).clusters.at(node.cluster).members;
+  std::sort(members.begin(), members.end());
+  return members;
 }
 
 Step Scoreboard::min_step() const { return min_live_step(); }
@@ -904,8 +912,10 @@ std::string Scoreboard::to_dot() const {
   for (std::int32_t s = 0; s < shards_; ++s) {
     for (const auto& [cid, rec] : shard(s).clusters) {
       (void)cid;
-      for (std::size_t k = 0; k + 1 < rec.members.size(); ++k) {
-        os << "  a" << rec.members[k] << " -> a" << rec.members[k + 1]
+      std::vector<AgentId> members = rec.members;
+      std::sort(members.begin(), members.end());
+      for (std::size_t k = 0; k + 1 < members.size(); ++k) {
+        os << "  a" << members[k] << " -> a" << members[k + 1]
            << " [dir=both, color=blue];\n";
       }
     }

@@ -247,7 +247,7 @@ class Scoreboard {
 
   struct ClusterRec {
     Step step = 0;
-    std::vector<AgentId> members;
+    std::vector<AgentId> members;  // unsorted; readers sort a copy or at pop
     std::int32_t blocked_members = 0;  // members with nonempty blocked_by
     // Strip span of member positions; multi-strip spans are counted in
     // cross_clusters for every strip in the span.

@@ -210,6 +210,28 @@ TEST(Scoreboard, MergingClustersThroughBridgeAgent) {
   EXPECT_EQ(ready[0].members.size(), 3u);
 }
 
+TEST(Scoreboard, ClusterMembersReadSortedAfterOutOfOrderJoins) {
+  // A commit listing members in descending id order re-clusters them
+  // 4, 3, 2, 1, 0: every reader must still see ascending ids.
+  Scoreboard sb(kParams, make_euclidean(),
+                line_positions({0.0, 2.0, 4.0, 6.0, 8.0}), 3);
+  auto ready = sb.pop_ready_clusters();
+  ASSERT_EQ(ready.size(), 1u);
+  const std::vector<AgentId> all{0, 1, 2, 3, 4};
+  EXPECT_EQ(ready[0].members, all);
+  std::vector<std::pair<AgentId, Pos>> moves;
+  for (AgentId m = 4; m >= 0; --m) moves.emplace_back(m, sb.pos_of(m));
+  sb.commit(moves);
+  for (AgentId m : all) EXPECT_EQ(sb.cluster_of(m), all) << "agent " << m;
+  const std::string dot = sb.to_dot();
+  EXPECT_NE(dot.find("a0 -> a1 [dir=both"), std::string::npos) << dot;
+  EXPECT_NE(dot.find("a3 -> a4 [dir=both"), std::string::npos) << dot;
+  ready = sb.pop_ready_clusters();
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].members, all);
+  sb.check_invariants();
+}
+
 TEST(Scoreboard, RejectsBadCommits) {
   Scoreboard sb(kParams, make_euclidean(), line_positions({0.0}), 5);
   // Not running yet.

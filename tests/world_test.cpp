@@ -162,6 +162,183 @@ TEST(SpatialIndex, QueryIntoBufferReusesCapacityAndSorts) {
   EXPECT_TRUE(buf.empty());
 }
 
+// The dense grid against a brute-force filter over a plain vector:
+// seeded insert/update/remove/query sequences over a population whose
+// window drifts +x, -y, -x, +y in turn (so the grid grows past all four
+// edges, through negative coordinates), with half-cell-rounded positions
+// and half-extents (ties on cell and box edges), boxes larger than the
+// grid, boxes entirely outside it, and queries on an empty index.
+TEST(SpatialIndex, MatchesBruteForceUnderRandomEdits) {
+  struct Ref {
+    AgentId id;
+    Pos pos;
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const double cell_sizes[] = {1.0, 2.5, 4.0, 7.0, 5.0, 0.75};
+    SpatialIndex idx(cell_sizes[seed - 1]);
+    std::vector<Ref> ref;
+    AgentId next_id = 0;
+    auto half = [](double v) { return std::round(v * 2.0) / 2.0; };
+    auto brute_box = [&](Pos c, double h) {
+      std::vector<AgentId> out;
+      for (const Ref& r : ref) {
+        if (std::abs(r.pos.x - c.x) <= h && std::abs(r.pos.y - c.y) <= h) {
+          out.push_back(r.id);
+        }
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    auto brute_radius = [&](Pos c, double radius) {
+      std::vector<AgentId> out;
+      for (const Ref& r : ref) {
+        if (euclidean(r.pos, c) <= radius) out.push_back(r.id);
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    std::vector<AgentId> buf;
+    Pos window{0.0, 0.0};
+    std::size_t queries = 0;
+    // Odd seeds grow the grid one insert at a time while the window
+    // drifts. Even seeds bulk_insert a population spanning the corners
+    // of [-30, 30]^2 and never leave it: the grid is laid out exactly, so
+    // its first and last rows and columns hold agents throughout.
+    const bool drift = seed % 2 == 1;
+    if (!drift) {
+      std::vector<std::pair<AgentId, Pos>> items;
+      for (int i = 0; i < 60; ++i) {
+        const Pos p = i < 4 ? Pos{i % 2 ? 30.0 : -30.0, i / 2 ? 30.0 : -30.0}
+                            : Pos{half(rng.uniform(-30.0, 30.0)),
+                                  half(rng.uniform(-30.0, 30.0))};
+        items.emplace_back(next_id, p);
+        ref.push_back(Ref{next_id++, p});
+      }
+      idx.bulk_insert(items);
+    }
+    const std::size_t bulk_cells = idx.grid_cells();
+    for (int op = 0; op < 4000; ++op) {
+      // Drift 0.15 units per op, turning every 1000 ops.
+      const int phase = drift ? op / 1000 : -1;
+      window.x += phase == 0 ? 0.15 : phase == 2 ? -0.15 : 0.0;
+      window.y += phase == 1 ? -0.15 : phase == 3 ? 0.15 : 0.0;
+      auto keep = [&](double v) {
+        return drift ? v : std::clamp(v, -30.0, 30.0);
+      };
+      auto draw = [&] {
+        return Pos{half(window.x + rng.uniform(-30.0, 30.0)),
+                   half(window.y + rng.uniform(-30.0, 30.0))};
+      };
+      const double kind = rng.uniform();
+      if (kind < 0.2 || ref.empty()) {
+        const Pos p = draw();
+        idx.insert(next_id, p);
+        ref.push_back(Ref{next_id++, p});
+      } else if (kind < 0.55) {
+        Ref& r = ref[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ref.size()) - 1))];
+        // Mostly short moves (often within the cell), sometimes jumps.
+        r.pos = rng.bernoulli(0.7)
+                    ? Pos{keep(half(r.pos.x + rng.uniform(-1.5, 1.5))),
+                          keep(half(r.pos.y + rng.uniform(-1.5, 1.5)))}
+                    : draw();
+        idx.update(r.id, r.pos);
+      } else if (kind < 0.7) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ref.size()) - 1));
+        idx.remove(ref[k].id);
+        ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(k));
+        if (ref.empty()) {
+          // Emptied: the grid stays laid out but holds nothing.
+          EXPECT_TRUE(idx.query_box(window, 1e4).empty());
+        }
+      } else {
+        Pos c = draw();
+        double h = half(rng.uniform(0.0, 12.0));
+        const double shape = rng.uniform();
+        if (shape < 0.1) {
+          h = 1e6;  // far larger than the grid
+        } else if (shape < 0.2) {
+          c = Pos{window.x + (rng.bernoulli(0.5) ? 1e5 : -1e5),
+                  window.y + rng.uniform(-1e5, 1e5)};  // entirely outside
+        } else if (shape < 0.5 && !ref.empty()) {
+          // Centered near an agent, so edge cells get probed too.
+          const Pos at = ref[static_cast<std::size_t>(rng.uniform_int(
+                                 0, static_cast<std::int64_t>(ref.size()) -
+                                        1))]
+                             .pos;
+          c = Pos{at.x + half(rng.uniform(-2.0, 2.0)),
+                  at.y + half(rng.uniform(-2.0, 2.0))};
+        }
+        idx.query_box_into(c, h, &buf);
+        ASSERT_EQ(buf, brute_box(c, h))
+            << "seed " << seed << " op " << op << " box at (" << c.x << ", "
+            << c.y << ") half-extent " << h;
+        ASSERT_EQ(idx.query_box(c, h), buf);
+        ASSERT_EQ(idx.query_radius(c, h), brute_radius(c, h))
+            << "seed " << seed << " op " << op;
+        ASSERT_TRUE(std::is_sorted(buf.begin(), buf.end()));
+        ++queries;
+      }
+      ASSERT_EQ(idx.size(), ref.size());
+    }
+    EXPECT_GT(queries, 900u);
+    if (!drift) {
+      EXPECT_EQ(idx.grid_cells(), bulk_cells) << "seed " << seed;
+    }
+    for (const Ref& r : ref) {
+      ASSERT_TRUE(idx.contains(r.id));
+      ASSERT_EQ(idx.position(r.id), r.pos);
+    }
+  }
+}
+
+TEST(SpatialIndex, EmptyIndexAnswersEveryQueryEmpty) {
+  SpatialIndex idx(5.0);
+  std::vector<AgentId> buf{1, 2, 3};
+  idx.query_box_into(Pos{0, 0}, 1e9, &buf);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_TRUE(idx.query_radius(Pos{-3, 7}, 100.0).empty());
+  EXPECT_EQ(idx.grid_cells(), 0u);
+  idx.remove(4);  // no-op
+  idx.bulk_insert({});
+  EXPECT_EQ(idx.size(), 0u);
+}
+
+TEST(SpatialIndex, GrowsPastEveryEdgeAndForgetsTheOldCell) {
+  SpatialIndex idx(5.0);
+  for (AgentId i = 0; i < 10; ++i) {
+    idx.insert(i, Pos{i * 3.0, (i % 3) * 2.0});
+  }
+  const std::size_t start_cells = idx.grid_cells();
+  const Pos far[] = {{-400.5, 1.0}, {600.0, -3.0}, {7.0, -350.0},
+                     {-4.0, 500.0}, {-800.0, -800.0}};
+  for (const Pos& p : far) {
+    const Pos old = idx.position(0);
+    idx.update(0, p);
+    EXPECT_EQ(idx.query_box(p, 0.5), (std::vector<AgentId>{0}));
+    EXPECT_EQ(idx.query_radius(p, 0.0), (std::vector<AgentId>{0}));
+    const auto at_old = idx.query_box(old, 0.5);
+    EXPECT_TRUE(std::find(at_old.begin(), at_old.end(), 0) == at_old.end())
+        << "agent 0 still found at (" << old.x << ", " << old.y << ")";
+  }
+  EXPECT_GT(idx.grid_cells(), start_cells);
+  for (AgentId i = 1; i < 10; ++i) {
+    EXPECT_EQ(idx.query_box(Pos{i * 3.0, (i % 3) * 2.0}, 0.0),
+              (std::vector<AgentId>{i}));
+  }
+  // A one-cell-at-a-time walk grows the grid geometrically: the margin
+  // keeps it within 1.5x of the bounding rectangle along the walk.
+  SpatialIndex walk(1.0);
+  walk.insert(0, Pos{0, 0});
+  walk.insert(1, Pos{0, 9});
+  for (int x = 1; x <= 1000; ++x) walk.update(0, Pos{double(x), 0});
+  EXPECT_LE(walk.grid_cells(), 1501u * 10u);
+  EXPECT_EQ(walk.query_box(Pos{1000, 0}, 0.0), (std::vector<AgentId>{0}));
+  EXPECT_EQ(walk.query_box(Pos{0, 9}, 0.0), (std::vector<AgentId>{1}));
+}
+
 TEST(SocialGraph, NewmanWattsIsConnectedSortedAndDeterministic) {
   const auto adj = newman_watts_graph(/*nodes=*/50, /*degree=*/4,
                                       /*shortcut_prob=*/0.3, /*seed=*/9);
