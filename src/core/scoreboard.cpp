@@ -22,8 +22,7 @@ double index_cell_size(const DependencyParams& params) {
 Scoreboard::Scoreboard(DependencyParams params,
                        std::shared_ptr<const Metric> metric,
                        std::vector<Pos> initial_positions, Step target_step,
-                       ScanMode mode, std::int32_t shards,
-                       world::PartitionKind partition)
+                       ScanMode mode, std::int32_t shards)
     : params_(params),
       metric_(std::move(metric)),
       target_step_(target_step),
@@ -33,11 +32,6 @@ Scoreboard::Scoreboard(DependencyParams params,
   AIM_CHECK(!initial_positions.empty());
   AIM_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
                 "shards must be in [1, " << kMaxShards << "], got " << shards);
-#ifdef AIMETRO_SCOREBOARD_NO_BRUTE
-  AIM_CHECK_MSG(mode_ != ScanMode::kBruteForce,
-                "brute-force reference path compiled out "
-                "(AIMETRO_SCOREBOARD_NO_BRUTE)");
-#endif
   indexable_ = metric_->lower_bounded_by_chebyshev();
   if (mode_ == ScanMode::kIndexed && !indexable_) {
     // Graph metrics can't be probed with Chebyshev boxes, but they expose
@@ -53,21 +47,13 @@ Scoreboard::Scoreboard(DependencyParams params,
   // queries; the brute-force scan, graph-ball, and full-scan fallback
   // paths collapse to one strip (behavior is identical either way).
   shards_ = use_index() ? shards : 1;
-  if (shards_ > 1 && partition == world::PartitionKind::kEqualPopulation) {
-    std::vector<double> xs;
-    xs.reserve(initial_positions.size());
-    for (const Pos& p : initial_positions) xs.push_back(p.x);
-    partition_ =
-        world::RegionPartition::equal_population(shards_, std::move(xs));
-  } else {
-    double x_min = initial_positions.front().x;
-    double x_max = x_min;
-    for (const Pos& p : initial_positions) {
-      x_min = std::min(x_min, p.x);
-      x_max = std::max(x_max, p.x);
-    }
-    partition_ = world::RegionPartition(shards_, x_min, x_max);
+  double x_min = initial_positions.front().x;
+  double x_max = x_min;
+  for (const Pos& p : initial_positions) {
+    x_min = std::min(x_min, p.x);
+    x_max = std::max(x_max, p.x);
   }
+  partition_ = world::RegionPartition(shards_, x_min, x_max);
   shards_data_.reserve(static_cast<std::size_t>(shards_));
   for (std::int32_t s = 0; s < shards_; ++s) {
     shards_data_.push_back(std::make_unique<ShardData>(index_cell_size(params)));
@@ -234,97 +220,6 @@ void Scoreboard::update_border_registration(AgentId id, Step floor) {
     for (std::int32_t t = span.lo; t <= span.hi; ++t) {
       shard(t).border_agents.insert(id);
     }
-  }
-}
-
-void Scoreboard::repartition(const world::RegionPartition& new_partition) {
-  AIM_CHECK_MSG(new_partition.shards() == shards_,
-                "repartition must preserve the strip count (the engine's "
-                "lock/pool/stats arrays are sized per strip): have "
-                    << shards_ << ", got " << new_partition.shards());
-  if (shards_ == 1) {
-    partition_ = new_partition;
-    return;
-  }
-  // 1. Detach every idle cluster, in deterministic (strip, cid) order.
-  //    Only step/members/blocked_members survive; homes and spans are
-  //    recomputed under the new boundaries.
-  struct SavedCluster {
-    Step step;
-    std::vector<AgentId> members;
-    std::int32_t blocked_members;
-  };
-  std::vector<SavedCluster> saved;
-  for (std::int32_t s = 0; s < shards_; ++s) {
-    for (auto& [cid, rec] : shard(s).clusters) {
-      saved.push_back(
-          SavedCluster{rec.step, std::move(rec.members), rec.blocked_members});
-    }
-  }
-  // 2. Fresh strip slices. Counters that are *positional* — cluster-id
-  //    allocators, stats rows, blocker-sample tallies — carry over by
-  //    strip index: the engine's mutex/pool/stats arrays alias strip i
-  //    before and after, and cid uniqueness needs the allocators to stay
-  //    monotone per strip.
-  std::vector<std::unique_ptr<ShardData>> fresh;
-  fresh.reserve(static_cast<std::size_t>(shards_));
-  for (std::int32_t s = 0; s < shards_; ++s) {
-    fresh.push_back(std::make_unique<ShardData>(index_cell_size(params_)));
-    ShardData& nd = *fresh.back();
-    const ShardData& od = shard(s);
-    nd.next_cluster_local = od.next_cluster_local;
-    nd.stats = od.stats;
-    nd.blocker_samples = od.blocker_samples;
-    nd.blocker_total = od.blocker_total;
-  }
-  shards_data_ = std::move(fresh);
-  partition_ = new_partition;
-  // 3. Re-home every live agent (idle or running): live index, live-step
-  //    counts, idle buckets.
-  std::vector<std::vector<std::pair<AgentId, Pos>>> per_strip(
-      static_cast<std::size_t>(shards_));
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    AgentNode& node = agents_[i];
-    node.cluster = -1;
-    if (node.status == AgentStatus::kDone) continue;
-    const std::int32_t home = partition_.shard_of(node.pos);
-    per_strip[static_cast<std::size_t>(home)].emplace_back(
-        static_cast<AgentId>(i), node.pos);
-    ++shard(home).live_steps[node.step];
-    if (node.status == AgentStatus::kIdle) {
-      shard(home).idle_by_step[node.step].insert(static_cast<AgentId>(i));
-    }
-  }
-  for (std::int32_t s = 0; s < shards_; ++s) {
-    shard(s).live_index.bulk_insert(per_strip[static_cast<std::size_t>(s)]);
-  }
-  // 4. Re-home the clusters. New cids (from the carried-over monotone
-  //    allocators) can't collide with any cid ever issued; dispatch order
-  //    is unaffected because pops sort by (step, first member), never by
-  //    cid. Marking everything dirty is also order-neutral: every
-  //    unblocked cluster was already dirty pre-repartition (commits mark
-  //    what they release), and a blocked dirty cluster is silently
-  //    skipped at the next pop.
-  for (SavedCluster& sc : saved) {
-    // Home by the smallest member, as the construction flood fill does.
-    std::sort(sc.members.begin(), sc.members.end());
-    const std::int32_t strip =
-        partition_.shard_of(agent(sc.members.front()).pos);
-    const std::int64_t cid = new_cluster(sc.step, strip);
-    for (AgentId m : sc.members) {
-      agent(m).cluster = cid;
-      cluster_span_include(cid, partition_.shard_of(agent(m).pos));
-    }
-    ClusterRec& rec = shard(strip).clusters.at(cid);
-    rec.members = std::move(sc.members);
-    rec.blocked_members = sc.blocked_members;
-    shard(strip).dirty_clusters.insert(cid);
-  }
-  // 5. Fresh border registrations under the new boundaries (erasing the
-  //    stale registration hits empty sets, harmlessly).
-  const Step floor = min_live_step();
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    update_border_registration(static_cast<AgentId>(i), floor);
   }
 }
 
@@ -520,8 +415,7 @@ void Scoreboard::cluster_in(AgentId id) {
   node.cluster = target;
   // Members stay unsorted while the cluster grows: sorting here would cost
   // O(n log n) per insert, O(n^2 log n) to build an n-member cluster. The
-  // readers that need id order (pop, cluster_of, repartition, to_dot)
-  // sort once.
+  // readers that need id order (pop, cluster_of, to_dot) sort once.
   rec.members.push_back(id);
   if (!node.blocked_by.empty()) ++rec.blocked_members;
   cluster_span_include(target, home);

@@ -25,8 +25,7 @@
 // (hop-bounded BFS ball probes) — see "Dependency core" in
 // docs/ARCHITECTURE.md for the index structures and the radius math. A
 // brute-force full-scan reference path is retained for differential
-// testing (ScanMode::kBruteForce); define AIMETRO_SCOREBOARD_NO_BRUTE to
-// compile it out.
+// testing (ScanMode::kBruteForce).
 //
 // Sharding (the boundary-lag protocol, docs/ARCHITECTURE.md "Sharded
 // world"): with `shards > 1` the world is cut into equal-width x-strips
@@ -82,8 +81,7 @@ enum class AgentStatus : std::uint8_t { kIdle, kRunning, kDone };
 ///    with neither property silently falls back to full scans — results
 ///    are identical in every case.
 ///  - kBruteForce: the historical O(n) full scan; the reference
-///    implementation for differential tests and benchmarks. Compiled out
-///    when AIMETRO_SCOREBOARD_NO_BRUTE is defined.
+///    implementation for differential tests and benchmarks.
 enum class ScanMode : std::uint8_t { kIndexed, kBruteForce };
 
 /// Hard cap on the region partition (and the encoding of shard ids into
@@ -111,14 +109,11 @@ class Scoreboard {
   /// `shards` in [1, kMaxShards] requests a region partition; it takes
   /// effect only on the spatial-index probe path (kIndexed with a
   /// Chebyshev-bounded metric) and silently collapses to 1 otherwise —
-  /// observable behavior is identical either way. `partition` picks how
-  /// the initial strip boundaries are placed (equal-width, or at
-  /// population quantiles of the initial positions); it changes only
-  /// which commits classify as interior, never any observable result.
+  /// observable behavior is identical either way. The strips are equal
+  /// width over the x-range of `initial_positions`.
   Scoreboard(DependencyParams params, std::shared_ptr<const Metric> metric,
              std::vector<Pos> initial_positions, Step target_step,
-             ScanMode mode = ScanMode::kIndexed, std::int32_t shards = 1,
-             world::PartitionKind partition = world::PartitionKind::kEqualWidth);
+             ScanMode mode = ScanMode::kIndexed, std::int32_t shards = 1);
 
   // ---- Controller side ----
   /// All clusters that are ready right now (every member idle and
@@ -156,25 +151,6 @@ class Scoreboard {
   std::int32_t local_commit_shard(
       const std::vector<std::pair<AgentId, Pos>>& moves,
       Step probe_floor) const;
-
-  /// Re-slice every per-strip structure (live indexes, live-step counts,
-  /// idle clusters, ready queues, border sets) onto `new_partition`,
-  /// which must have the same strip count. Not safe to call concurrently
-  /// with anything: a caller that shares the board holds it exclusively
-  /// (the engine repartitions under its topology writer lock).
-  /// Dispatched-but-uncommitted clusters are tolerated — their running
-  /// members carry no cluster record and simply re-home with the rest of
-  /// the live set. Per-strip stats rows stay attached to their strip
-  /// index (the engine's lock/pool/stats arrays are positional). Pure
-  /// scheduling state moves; agent steps/positions/edges are untouched,
-  /// so every observable result — digests included — is identical by the
-  /// superset-then-filter argument (see "Adaptive partitioning" in
-  /// docs/ARCHITECTURE.md). No-op when the board collapsed to one strip.
-  void repartition(const world::RegionPartition& new_partition);
-
-  /// The active region partition (equal-width at construction unless
-  /// kEqualPopulation was requested; later replaced by repartition()).
-  const world::RegionPartition& partition() const { return partition_; }
 
   // ---- Introspection ----
   std::size_t agent_count() const { return agents_.size(); }

@@ -131,6 +131,7 @@ class Executor {
     if (scoreboard_) {
       r.scoreboard = scoreboard_->stats();
       r.mean_blockers = scoreboard_->mean_blockers();
+      r.shards = scoreboard_->shards();
       for (AgentId a = 0; a < trace_.n_agents; ++a) {
         r.final_agent_states.emplace_back(scoreboard_->step_of(a),
                                           scoreboard_->pos_of(a));
@@ -225,38 +226,8 @@ class Executor {
             : core::make_euclidean();
     scoreboard_ = std::make_unique<core::Scoreboard>(
         params, std::move(metric), std::move(initial), trace_.n_steps,
-        cfg_.scan_mode, cfg_.shards, cfg_.partition);
-    reshard_base_.assign(static_cast<std::size_t>(scoreboard_->shards()), 0);
+        cfg_.scan_mode, cfg_.shards);
     metropolis_dispatch();
-  }
-
-  /// DES mirror of the engine's episode rebalance: once min_step() clears
-  /// the next cfg_.reshard_at boundary, re-quantile the partition by each
-  /// strip's commit count since the previous rebalance. The DES is
-  /// single-threaded, so no locking (and no forced-cross protocol) is
-  /// needed — just a call between a commit and the next dispatch. The
-  /// weights differ from the engine's (no wait-time term here): partition
-  /// placement is digest-invariant, so the two backends may rebalance to
-  /// different boundaries and still replay identically.
-  void maybe_reshard() {
-    if (reshard_idx_ >= cfg_.reshard_at.size()) return;
-    const Step now = scoreboard_->min_step();
-    if (now < cfg_.reshard_at[reshard_idx_]) return;
-    while (reshard_idx_ < cfg_.reshard_at.size() &&
-           cfg_.reshard_at[reshard_idx_] <= now) {
-      ++reshard_idx_;
-    }
-    const std::int32_t shards = scoreboard_->shards();
-    if (shards <= 1) return;
-    std::vector<double> weights(static_cast<std::size_t>(shards), 0.0);
-    for (std::int32_t s = 0; s < shards; ++s) {
-      const std::uint64_t commits = scoreboard_->shard_stats(s).commits;
-      weights[static_cast<std::size_t>(s)] = static_cast<double>(
-          commits - reshard_base_[static_cast<std::size_t>(s)]);
-      reshard_base_[static_cast<std::size_t>(s)] = commits;
-    }
-    scoreboard_->repartition(scoreboard_->partition().rebalanced(weights));
-    if (cfg_.validate_invariants) scoreboard_->check_invariants();
   }
 
   void metropolis_dispatch() {
@@ -299,7 +270,6 @@ class Executor {
         }
         scoreboard_->commit(moves);
         if (cfg_.validate_invariants) scoreboard_->check_invariants();
-        maybe_reshard();
         --in_flight_clusters_;
         metropolis_dispatch();
       });
@@ -466,10 +436,6 @@ class Executor {
       ready_queue_;
   std::uint64_t ready_seq_ = 0;
   std::int32_t in_flight_clusters_ = 0;
-  /// Next unapplied cfg_.reshard_at boundary / per-strip commit counts at
-  /// the last rebalance (see maybe_reshard).
-  std::size_t reshard_idx_ = 0;
-  std::vector<std::uint64_t> reshard_base_;
 
   // oracle state
   core::OracleDependencies oracle_deps_;

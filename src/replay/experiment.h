@@ -57,15 +57,6 @@ struct ExperimentConfig {
   /// replay can certify that a sharded board replays byte-identically to
   /// shards=1 before the threaded engine trusts the same partition.
   std::int32_t shards = 1;
-  /// Initial strip-boundary placement (equal-width or population
-  /// quantiles); replay certifies digest-invariance for the engine here
-  /// too.
-  world::PartitionKind partition = world::PartitionKind::kEqualWidth;
-  /// Trace-relative steps (sorted ascending, each > 0) at which the
-  /// scoreboard is repartitioned once min_step() clears them — the DES
-  /// mirror of EngineConfig::reshard_at, weighted by per-strip commit
-  /// counts since the previous rebalance. Empty = never.
-  std::vector<Step> reshard_at;
   bool record_gantt = false;
   /// Run O(n^2) scoreboard invariant checks after every commit (tests).
   bool validate_invariants = false;
@@ -86,6 +77,9 @@ struct ExperimentResult {
   // Metropolis-only scheduler statistics.
   core::ScoreboardStats scoreboard;
   double mean_blockers = 0.0;
+  /// Strips the scoreboard actually ran: config.shards after its
+  /// collapse rules (brute scans and graph metrics run one strip).
+  std::int32_t shards = 1;
   /// Per-agent (step, position) at completion, indexed by AgentId —
   /// the final scoreboard state (Metropolis mode only). Lets callers check
   /// that independent executions of one workload converged to one state.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -20,9 +18,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
       std::chrono::duration_cast<std::chrono::microseconds>(to - from)
           .count());
 }
-
-/// Sentinel for "no reshard boundary left".
-constexpr Step kNoReshard = std::numeric_limits<Step>::max();
 
 void check_unbounded(const TaskPool& pool) {
   // Workers dispatch the clusters their own commits release: a bounded
@@ -48,72 +43,37 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
   for (std::size_t i = 0; i < world_->agent_count(); ++i) {
     initial.push_back(world_->pos_of(static_cast<AgentId>(i)));
   }
-  for (std::size_t i = 0; i < config_.reshard_at.size(); ++i) {
-    AIM_CHECK_MSG(config_.reshard_at[i] > 0 &&
-                      (i == 0 || config_.reshard_at[i - 1] < config_.reshard_at[i]),
-                  "EngineConfig::reshard_at must be positive and strictly "
-                  "ascending");
-  }
-  next_reshard_step_.store(
-      config_.reshard_at.empty() ? kNoReshard : config_.reshard_at.front(),
-      std::memory_order_release);
   scoreboard_ = std::make_unique<core::Scoreboard>(
       config_.params,
       config_.metric ? config_.metric : core::make_euclidean(),
       std::move(initial), config_.target_step, config_.scan_mode,
-      config_.shards, config_.partition);
+      config_.shards);
   // The scoreboard may collapse the partition (graph metrics, brute
   // scans); size everything to what it actually runs.
   shards_ = scoreboard_->shards();
   shard_rows_.assign(static_cast<std::size_t>(shards_) + 1, EngineStats{});
-  reshard_base_ = shard_rows_;
   shard_mutexes_.reserve(static_cast<std::size_t>(shards_));
   for (std::int32_t s = 0; s < shards_; ++s) {
     shard_mutexes_.push_back(std::make_unique<common::Mutex>("engine.shard"));
   }
 
-  if (!config_.shard_pools.empty()) {
-    AIM_CHECK_MSG(config_.shard_pools.size() >=
-                      static_cast<std::size_t>(shards_),
-                  "EngineConfig::shard_pools must cover every shard");
-    for (std::int32_t s = 0; s < shards_; ++s) {
-      TaskPool* p = config_.shard_pools[static_cast<std::size_t>(s)];
-      AIM_CHECK(p != nullptr);
-      check_unbounded(*p);
-      shard_pools_.push_back(p);
-    }
-  } else if (config_.pool != nullptr) {
+  if (config_.pool != nullptr) {
     check_unbounded(*config_.pool);
-    shard_pools_.assign(static_cast<std::size_t>(shards_), config_.pool);
+    strip_pools_.assign(static_cast<std::size_t>(shards_), config_.pool);
   } else if (shards_ > 1) {
     // Private pool per strip, splitting n_workers between them so the
-    // total thread budget matches the unsharded configuration. With
-    // pin_cores, strip s's workers are pinned to the s-th contiguous
-    // core group so its scoreboard slice stays in one cache/NUMA domain
-    // (wrapping when there are more strips than cores).
+    // total thread budget matches the unsharded configuration.
     const std::int32_t per_shard =
         std::max<std::int32_t>(1, (config_.n_workers + shards_ - 1) / shards_);
-    const std::int32_t n_cpus =
-        static_cast<std::int32_t>(std::thread::hardware_concurrency());
-    const std::int32_t group =
-        n_cpus > 0 ? std::max<std::int32_t>(1, n_cpus / shards_) : 0;
     for (std::int32_t s = 0; s < shards_; ++s) {
-      TaskPoolConfig pool_cfg;
-      pool_cfg.n_workers = per_shard;
-      if (config_.pin_cores && n_cpus > 0) {
-        pool_cfg.cpus.reserve(static_cast<std::size_t>(group));
-        for (std::int32_t c = 0; c < group; ++c) {
-          pool_cfg.cpus.push_back((s * group + c) % n_cpus);
-        }
-      }
-      owned_shard_pools_.push_back(std::make_unique<TaskPool>(pool_cfg));
-      shard_pools_.push_back(owned_shard_pools_.back().get());
+      owned_strip_pools_.push_back(std::make_unique<TaskPool>(per_shard));
+      strip_pools_.push_back(owned_strip_pools_.back().get());
     }
   } else {
     owned_pool_ = std::make_unique<TaskPool>(config_.n_workers);
-    shard_pools_.assign(1, owned_pool_.get());
+    strip_pools_.assign(1, owned_pool_.get());
   }
-  pool_ = shard_pools_.front();
+  pool_ = strip_pools_.front();
 
   if (config_.kv_instrumentation) {
     for (std::size_t i = 0; i < world_->agent_count(); ++i) {
@@ -136,75 +96,27 @@ Engine::~Engine() {
   }
 }
 
-std::vector<Engine::RoutedCluster> Engine::route_clusters(
-    std::vector<core::AgentCluster> ready) {
-  // Home strip of a cluster = strip of its first (smallest-id) member.
-  // Members are running between pop and commit, so the position is
-  // stable; the partition itself may move at reshard points, which is why
-  // the caller resolves routing here, still under the topology lock.
-  std::vector<RoutedCluster> routed;
-  routed.reserve(ready.size());
+void Engine::submit_clusters(std::vector<core::AgentCluster> ready) {
+  // Ready clusters become pool tasks at their step as the submission
+  // priority, so a backlogged pool still hands the earliest step to the
+  // next free worker (§3.5). The caller already popped them under the
+  // topology lock. A cluster's members stay running, and its home
+  // position fixed, until its own task commits, and the partition never
+  // changes after construction, so routing needs no engine lock.
+  // Inflight accounting is atomic, and the submitting task's own
+  // inflight count keeps run() from observing a premature zero.
   for (core::AgentCluster& cluster : ready) {
-    const std::int32_t s =
+    const std::int32_t strip =
         shards_ == 1 ? 0
                      : scoreboard_->shard_of_pos(
                            scoreboard_->pos_of(cluster.members.front()));
-    routed.push_back(RoutedCluster{s, std::move(cluster)});
-  }
-  return routed;
-}
-
-void Engine::submit_clusters(std::vector<RoutedCluster> ready) {
-  // Ready clusters become pool tasks at their step as the submission
-  // priority, so a backlogged pool still hands the earliest step to the
-  // next free worker (§3.5). The caller already popped and routed them
-  // under the topology lock, so this needs no engine lock: inflight
-  // accounting is atomic, and the submitting task's own inflight count
-  // keeps run() from observing a premature zero.
-  for (RoutedCluster& rc : ready) {
-    const Step step = rc.cluster.step;
-    TaskPool* pool = shard_pools_[static_cast<std::size_t>(rc.strip)];
+    const Step step = cluster.step;
     inflight_clusters_.fetch_add(1, std::memory_order_acq_rel);
-    pool->submit(step, [this, cluster = std::move(rc.cluster)]() mutable {
-      execute_cluster(std::move(cluster));
-    });
+    strip_pools_[static_cast<std::size_t>(strip)]->submit(
+        step, [this, cluster = std::move(cluster)]() mutable {
+          execute_cluster(std::move(cluster));
+        });
   }
-}
-
-void Engine::maybe_reshard() {
-  if (next_reshard_idx_ >= config_.reshard_at.size()) return;
-  const Step now = scoreboard_->min_step();
-  if (now < config_.reshard_at[next_reshard_idx_]) return;
-  // Consume every boundary the minimum has cleared (several can fall in
-  // one commit when boundaries are close together), but rebalance once.
-  while (next_reshard_idx_ < config_.reshard_at.size() &&
-         config_.reshard_at[next_reshard_idx_] <= now) {
-    ++next_reshard_idx_;
-  }
-  next_reshard_step_.store(next_reshard_idx_ < config_.reshard_at.size()
-                               ? config_.reshard_at[next_reshard_idx_]
-                               : kNoReshard,
-                           std::memory_order_release);
-  if (shards_ <= 1) return;
-  // Weigh each strip by the contention it accumulated since the last
-  // rebalance: commits carry the load, and every millisecond a worker
-  // waited on the strip's lock counts like one more commit, so a strip
-  // that serializes gets split even if its commit count looks modest.
-  std::vector<double> weights(static_cast<std::size_t>(shards_), 0.0);
-  {
-    common::MutexLock slock(stats_mutex_);
-    for (std::int32_t s = 0; s < shards_; ++s) {
-      const EngineStats& row = shard_rows_[static_cast<std::size_t>(s)];
-      const EngineStats& base = reshard_base_[static_cast<std::size_t>(s)];
-      weights[static_cast<std::size_t>(s)] =
-          static_cast<double>(row.commits - base.commits) +
-          static_cast<double>(row.commit_wait_us - base.commit_wait_us) /
-              1000.0;
-    }
-    reshard_base_ = shard_rows_;
-    ++stats_.reshards;
-  }
-  scoreboard_->repartition(scoreboard_->partition().rebalanced(weights));
 }
 
 void Engine::execute_cluster(core::AgentCluster cluster) {
@@ -242,8 +154,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
           // Transactional mirror of the committed agent rows, as the
           // paper keeps all simulation state in the in-memory database.
           // The store's shard locks make this safe outside the commit
-          // locks. Sharded runs log per strip so the instrumentation
-          // stream shows the shard-local traffic split.
+          // locks; it reads no scoreboard state.
           kv::Transaction txn = store_.transaction();
           for (const auto& out : outcomes) {
             const std::string key = strformat("agent:%d", out.agent);
@@ -251,13 +162,8 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
             txn.hset(key, "x", std::to_string(out.tile.x));
             txn.hset(key, "y", std::to_string(out.tile.y));
           }
-          const std::string log_key =
-              shards_ > 1 && !moves.empty()
-                  ? strformat("log:commits:%d",
-                              scoreboard_->shard_of_pos(moves.front().second))
-                  : std::string("log:commits");
-          txn.rpush(log_key, strformat("step=%d size=%zu", cluster.step,
-                                       cluster.members.size()));
+          txn.rpush("log:commits", strformat("step=%d size=%zu", cluster.step,
+                                             cluster.members.size()));
           txn.incr_by("stats:agent_steps",
                       static_cast<std::int64_t>(cluster.members.size()));
           const auto result = txn.exec();
@@ -274,15 +180,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
       std::uint64_t wait_us = 0;
       std::uint64_t hold_us = 0;
       std::int32_t strip = -1;
-      std::vector<RoutedCluster> released;
-      // Near an unapplied reshard boundary B, commits that could raise
-      // min_step() past B (cluster.step + 1 >= B) are forced cross-shard:
-      // the raising commit then holds the topology lock exclusively, which
-      // is exactly where the rebalance may run. The atomic only ever
-      // advances, so a stale read is merely conservative (extra cross
-      // commits, never a missed trigger).
-      const Step reshard_boundary =
-          next_reshard_step_.load(std::memory_order_acquire);
+      std::vector<core::AgentCluster> released;
       {
         // Interior path: prove the commit is confined to one strip, then
         // take that strip's lock under a shared topology hold. The floor
@@ -291,9 +189,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
         // minimum, which merely widens the (exactly filtered) probes.
         common::ReaderLock tlock(topology_mutex_);
         const Step floor = min_floor_.load(std::memory_order_acquire);
-        strip = cluster.step + 1 >= reshard_boundary
-                    ? -1
-                    : scoreboard_->local_commit_shard(moves, floor);
+        strip = scoreboard_->local_commit_shard(moves, floor);
         if (strip >= 0) {
           common::MutexLock slock(
               *shard_mutexes_[static_cast<std::size_t>(strip)]);
@@ -301,8 +197,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
           wait_us = elapsed_us(wait_begin, acquired);
           if (!failed_.load(std::memory_order_acquire)) {
             scoreboard_->commit(moves, floor);
-            released =
-                route_clusters(scoreboard_->pop_ready_clusters_in_shard(strip));
+            released = scoreboard_->pop_ready_clusters_in_shard(strip);
           }
           hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
         }
@@ -311,8 +206,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
         // Cross-shard path: exclusive over the whole board (identical to
         // the old global commit lock; with shards=1 every commit lands
         // here). The exclusive hold is the only place the global minimum
-        // may be recomputed and published — and therefore the only place
-        // a reshard boundary can be observed crossed and acted on.
+        // may be recomputed and published.
         common::WriterLock tlock(topology_mutex_);
         const auto acquired = std::chrono::steady_clock::now();
         wait_us = elapsed_us(wait_begin, acquired);
@@ -320,8 +214,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
           scoreboard_->commit(moves);
           min_floor_.store(scoreboard_->min_step(),
                            std::memory_order_release);
-          maybe_reshard();
-          released = route_clusters(scoreboard_->pop_ready_clusters());
+          released = scoreboard_->pop_ready_clusters();
         }
         hold_us = elapsed_us(acquired, std::chrono::steady_clock::now());
       }
@@ -361,8 +254,7 @@ void Engine::execute_cluster(core::AgentCluster cluster) {
 EngineStats Engine::run() {
   {
     common::WriterLock tlock(topology_mutex_);
-    std::vector<RoutedCluster> ready =
-        route_clusters(scoreboard_->pop_ready_clusters());
+    std::vector<core::AgentCluster> ready = scoreboard_->pop_ready_clusters();
     tlock.unlock();
     submit_clusters(std::move(ready));
   }

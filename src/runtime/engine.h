@@ -81,40 +81,15 @@ struct EngineConfig {
   /// backpressure would deadlock them against each other; checked at
   /// construction). Cluster concurrency is then bounded by that pool's
   /// worker count, not n_workers — share a pool only when that is what
-  /// you mean. Ignored when shard_pools is set.
+  /// you mean.
   TaskPool* pool = nullptr;
   /// Region partition of the world (1..core::kMaxShards). Values > 1
   /// activate the boundary-lag commit protocol; the scoreboard may still
   /// collapse to one strip (graph metrics, brute-force scans), in which
   /// case every commit takes the cross-shard path and behavior matches
-  /// shards=1 exactly.
+  /// shards=1 exactly. Without an external `pool`, the engine spawns
+  /// one private pool per strip, splitting n_workers between them.
   std::int32_t shards = 1;
-  /// Pool-per-shard seam: clusters homed in strip s run on
-  /// shard_pools[s]. Must be empty or hold at least `shards` pools, all
-  /// unbounded and outliving the engine. When empty and shards > 1, the
-  /// engine spawns one private pool per strip, splitting n_workers
-  /// between them.
-  std::vector<TaskPool*> shard_pools;
-  /// Initial strip-boundary placement, passed through to the scoreboard:
-  /// equal-width strips, or boundaries at population quantiles of the
-  /// initial agent positions. Affects only which commits classify as
-  /// interior — never any observable result.
-  world::PartitionKind partition = world::PartitionKind::kEqualWidth;
-  /// Rebalance points (sorted ascending, each > 0): engine-relative steps
-  /// — in practice the episode (midnight) boundaries between `days` —
-  /// at which the partition is re-quantiled against the per-strip
-  /// contention rows accumulated since the previous rebalance. Near a
-  /// boundary B, commits of clusters at step B-1 or later are forced onto
-  /// the cross-shard (exclusive) path; the cross commit that raises
-  /// min_step() past B then repartitions the scoreboard in place while
-  /// still holding the topology lock exclusively. Empty = never reshard.
-  std::vector<Step> reshard_at;
-  /// Pin each privately spawned per-strip pool to a contiguous CPU core
-  /// group (strip s gets cores [s*C/shards, (s+1)*C/shards)), keeping a
-  /// strip's scoreboard slice in one cache/NUMA domain. Linux only;
-  /// ignored for external pools (pin those where they are constructed)
-  /// and with shards = 1.
-  bool pin_cores = false;
 };
 
 struct EngineStats {
@@ -133,9 +108,6 @@ struct EngineStats {
   std::uint64_t commit_wait_us = 0;
   std::uint64_t commit_hold_us = 0;
   std::uint64_t max_commit_wait_us = 0;
-  /// Partition rebalances performed (config.reshard_at boundaries whose
-  /// trigger actually fired). Aggregate only; zero in the per-strip rows.
-  std::uint64_t reshards = 0;
 };
 
 class Engine {
@@ -146,9 +118,8 @@ class Engine {
   using StepFn = std::function<std::vector<world::StepIntent>(
       const core::AgentCluster& cluster, const world::WorldState& world)>;
 
-  /// Spawns the private worker pool(s) (when config.pool / shard_pools
-  /// are unset) here, so a caller timing run() never measures thread
-  /// creation.
+  /// Spawns the private worker pool(s) (when config.pool is unset) here,
+  /// so a caller timing run() never measures thread creation.
   Engine(world::WorldState* world, EngineConfig config, StepFn step_fn);
   ~Engine();
 
@@ -174,27 +145,11 @@ class Engine {
   std::vector<EngineStats> shard_commit_stats() const;
 
  private:
-  /// A popped cluster plus its home strip, resolved while the popping
-  /// thread still held the topology lock — the partition may move at
-  /// reshard points, so routing must never read it unlocked.
-  struct RoutedCluster {
-    std::int32_t strip = 0;
-    core::AgentCluster cluster;
-  };
-
   void execute_cluster(core::AgentCluster cluster);
-  /// Resolve each cluster's home strip under the current partition.
-  /// Caller must hold topology_mutex_ (shared suffices: routing only
-  /// reads) — a guard TSA cannot express for either-mode holds.
-  std::vector<RoutedCluster> route_clusters(
-      std::vector<core::AgentCluster> ready);
-  /// Queue released clusters on their home strips' pools (step priority).
-  void submit_clusters(std::vector<RoutedCluster> ready);
-  /// Fire the next reshard boundary if min_step() has cleared it:
-  /// re-quantile the partition against the contention deltas since the
-  /// last rebalance and repartition the scoreboard in place. Caller must
-  /// hold topology_mutex_ exclusively (the cross-shard commit path).
-  void maybe_reshard();
+  /// Queue released clusters on their home strips' pools (step
+  /// priority). A cluster's home is the strip of its first (smallest-id)
+  /// member, whose position is stable while the cluster runs.
+  void submit_clusters(std::vector<core::AgentCluster> ready);
 
   world::WorldState* world_;
   EngineConfig config_;
@@ -207,10 +162,10 @@ class Engine {
   kv::Store store_;
 
   std::unique_ptr<TaskPool> owned_pool_;
-  std::vector<std::unique_ptr<TaskPool>> owned_shard_pools_;
+  std::vector<std::unique_ptr<TaskPool>> owned_strip_pools_;
   TaskPool* pool_ = nullptr;
   /// Routing table, size shards(): per-strip pools or aliases of pool_.
-  std::vector<TaskPool*> shard_pools_;
+  std::vector<TaskPool*> strip_pools_;
 
   std::int32_t shards_ = 1;
   /// Cross-shard commits hold this exclusively; interior commits hold it
@@ -221,15 +176,6 @@ class Engine {
   /// cross-shard commits (the only ones that may read every strip's
   /// live-step table). Bounds interior commits' probe radii.
   std::atomic<Step> min_floor_{0};
-  /// The next unapplied config.reshard_at boundary (max() when none
-  /// remain). Read lock-free by every commit to force the near-boundary
-  /// commits cross-shard; advanced only under topology-exclusive. Only
-  /// ever advances, so a stale read is merely conservative.
-  std::atomic<Step> next_reshard_step_;
-  /// Index into config_.reshard_at of the boundary above. Mutated and
-  /// read only under topology-exclusive (maybe_reshard).
-  std::size_t next_reshard_idx_ = 0;
-
   /// Control plane: run()/~Engine() wait here for in-flight cluster
   /// tasks to drain. Never held while acquiring topology/shard locks.
   common::Mutex control_mutex_{"engine.control"};
@@ -244,9 +190,6 @@ class Engine {
   EngineStats stats_ GUARDED_BY(stats_mutex_);
   /// Commit contention per strip + the cross-shard row (size shards+1).
   std::vector<EngineStats> shard_rows_ GUARDED_BY(stats_mutex_);
-  /// Snapshot of shard_rows_ at the last rebalance; maybe_reshard weighs
-  /// strips by the delta against it.
-  std::vector<EngineStats> reshard_base_ GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace aimetro::runtime

@@ -8,11 +8,6 @@
 #include "common/check.h"
 #include "common/mutex.h"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace aimetro::runtime {
 
 namespace {
@@ -31,20 +26,6 @@ class CurrentPoolScope {
   const TaskPool* saved_;
 };
 
-/// Best-effort affinity pin (see TaskPoolConfig::cpus). Out-of-range or
-/// rejected cpus are ignored: the OS scheduler keeps working either way.
-void pin_thread(std::thread& thread, std::int32_t cpu) {
-#ifdef __linux__
-  if (cpu < 0 || cpu >= CPU_SETSIZE) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  (void)pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set);
-#else
-  (void)thread;
-  (void)cpu;
-#endif
-}
 }  // namespace
 
 struct TaskPool::Handle::State {
@@ -71,10 +52,6 @@ TaskPool::TaskPool(TaskPoolConfig config) : max_queued_(config.max_queued) {
   threads_.reserve(static_cast<std::size_t>(config.n_workers));
   for (std::int32_t i = 0; i < config.n_workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
-    if (!config.cpus.empty()) {
-      pin_thread(threads_.back(),
-                 config.cpus[static_cast<std::size_t>(i) % config.cpus.size()]);
-    }
   }
 }
 
@@ -173,13 +150,15 @@ bool TaskPool::try_execute(const StatePtr& state, bool inline_run) {
   } catch (...) {
     error = std::current_exception();
   }
+  // Count the task before publishing it done, so stats() read after
+  // Handle::wait() returns includes it.
+  finish_one(inline_run);
   {
     common::MutexLock lock(state->m);
     state->done = true;
     state->error = error;
   }
   state->cv.notify_all();
-  finish_one(inline_run);
   return true;
 }
 

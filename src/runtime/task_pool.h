@@ -51,14 +51,6 @@ struct TaskPoolConfig {
   /// Submissions from a pool worker or inside submit_and_wait bypass the
   /// bound (blocking them could deadlock the pool against itself).
   std::size_t max_queued = 0;
-  /// CPU-affinity pinning: worker i is pinned to cpus[i % cpus.size()]
-  /// (empty = no pinning, the default). Linux only
-  /// (pthread_setaffinity_np); silently a no-op elsewhere, and pin
-  /// failures (e.g. a cpuset-restricted container) are ignored — pinning
-  /// is a placement hint, never a correctness requirement. The engine
-  /// uses this to keep each strip's pool on one core group so strip-local
-  /// scoreboard state stays in one cache/NUMA domain.
-  std::vector<std::int32_t> cpus;
 };
 
 struct TaskPoolStats {
@@ -96,7 +88,7 @@ class TaskPool {
   explicit TaskPool(TaskPoolConfig config);
   /// Convenience: a pool of `n_workers` with an unbounded queue.
   explicit TaskPool(std::int32_t n_workers)
-      : TaskPool(TaskPoolConfig{n_workers, 0, {}}) {}
+      : TaskPool(TaskPoolConfig{n_workers, 0}) {}
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;

@@ -219,29 +219,6 @@ core::ScanMode scan_mode_of(const ScenarioSpec& spec) {
              : core::ScanMode::kIndexed;
 }
 
-world::PartitionKind partition_kind_of(const ScenarioSpec& spec) {
-  return spec.partition == PartitionChoice::kPopulation
-             ? world::PartitionKind::kEqualPopulation
-             : world::PartitionKind::kEqualWidth;
-}
-
-/// Trace-relative rebalance points for reshard = episode: every midnight
-/// boundary strictly inside the replay window. The trace slice renumbers
-/// steps so step 0 is window_begin; day d's boundary sits at
-/// d * steps_per_day - window_start. Empty when reshard is off or the
-/// window straddles no midnight (days = 1, or a within-day window).
-std::vector<Step> reshard_boundaries(const ScenarioSpec& spec) {
-  std::vector<Step> out;
-  if (spec.reshard != ReshardMode::kEpisode) return out;
-  const Step start = spec.window_start();
-  const Step n_steps = spec.sim_steps();
-  for (std::int32_t d = 1; d < spec.days; ++d) {
-    const Step abs = static_cast<Step>(d) * spec.steps_per_day;
-    if (abs > start && abs < start + n_steps) out.push_back(abs - start);
-  }
-  return out;
-}
-
 std::int32_t sign(std::int32_t d) { return d > 0 ? 1 : (d < 0 ? -1 : 0); }
 
 /// One 4-neighbor step from `from` toward `to` (axis with the larger gap
@@ -409,8 +386,6 @@ replay::ExperimentConfig ScenarioDriver::experiment_config() const {
       llm::ParallelismConfig{spec_.tensor_parallel, spec_.data_parallel};
   cfg.scan_mode = scan_mode_of(spec_);
   cfg.shards = spec_.resolved_shards();
-  cfg.partition = partition_kind_of(spec_);
-  cfg.reshard_at = reshard_boundaries(spec_);
   return cfg;
 }
 
@@ -580,13 +555,7 @@ ScenarioReport ScenarioDriver::run_des(bool serial_baseline) const {
   r.mean_cluster_size = metro.scoreboard.mean_cluster_size();
   r.mean_blockers = metro.mean_blockers;
   r.clusters_dispatched = metro.scoreboard.clusters_dispatched;
-  // Mirror the scoreboard's collapse rules (brute scans and hop metrics
-  // run unsharded) so the report never claims a partition that was not
-  // actually in effect.
-  r.shards = spec_.scoreboard == ScoreboardKind::kBrute ||
-                     spec_.world == WorldKind::kGraph
-                 ? 1
-                 : spec_.resolved_shards();
+  r.shards = metro.shards;
   r.scoreboard_digest = digest_states(metro.final_agent_states);
   return r;
 }
@@ -652,9 +621,6 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
     ecfg.kv_instrumentation = false;
     ecfg.metric = metric;  // null = Euclidean
     ecfg.shards = spec_.resolved_shards();
-    ecfg.partition = partition_kind_of(spec_);
-    ecfg.reshard_at = reshard_boundaries(spec_);
-    ecfg.pin_cores = spec_.pin == PinMode::kCores;
 
     // One agent's traced calls for a step, issued in chain order (calls
     // within a chain are serial by definition).

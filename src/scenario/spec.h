@@ -67,40 +67,6 @@ enum class ScoreboardKind : std::uint8_t { kIndexed, kBrute };
 const char* scoreboard_name(ScoreboardKind s);
 std::optional<ScoreboardKind> scoreboard_from_name(const std::string& name);
 
-/// Initial placement of the scoreboard's strip boundaries (shards > 1).
-///  - kWidth: equal-width strips over the world's x-extent (the
-///    historical layout; ignores where the agents are).
-///  - kPopulation: boundaries at population quantiles of the initial
-///    agent positions, so every strip starts with an equal agent share.
-/// Digest-invariant: the partition changes only which commits take a
-/// strip lock instead of the exclusive one.
-enum class PartitionChoice : std::uint8_t { kWidth, kPopulation };
-
-const char* partition_name(PartitionChoice p);
-std::optional<PartitionChoice> partition_from_name(const std::string& name);
-
-/// Whether the partition is rebalanced against observed contention.
-///  - kOff: the construction-time partition is final.
-///  - kEpisode: re-quantile the strip boundaries at each midnight
-///    carry-over point between `days`, weighting every strip by the
-///    commit/wait contention it accumulated over the previous day. A
-///    scenario with no interior midnight in its window simply never
-///    fires. Digest-invariant, like every partition setting.
-enum class ReshardMode : std::uint8_t { kOff, kEpisode };
-
-const char* reshard_name(ReshardMode r);
-std::optional<ReshardMode> reshard_from_name(const std::string& name);
-
-/// CPU placement of the engine backend's per-strip worker pools.
-///  - kNone: leave thread placement to the OS scheduler.
-///  - kCores: pin each strip's pool to a contiguous core group
-///    (Linux sched affinity; silently a no-op elsewhere, on the DES
-///    backend, and with one effective strip).
-enum class PinMode : std::uint8_t { kNone, kCores };
-
-const char* pin_name(PinMode p);
-std::optional<PinMode> pin_from_name(const std::string& name);
-
 struct ScenarioSpec {
   std::string name = "unnamed";
   std::string description;
@@ -166,18 +132,6 @@ struct ScenarioSpec {
   /// byte-identical for every value — sharding changes only which locks
   /// the engine takes, never what the simulation computes.
   std::int32_t shards = 0;
-  /// Initial strip-boundary placement: `width` (equal-width) or
-  /// `population` (equal agent share per strip). Matters only when the
-  /// effective shard count exceeds 1; digests are identical either way.
-  PartitionChoice partition = PartitionChoice::kWidth;
-  /// Contention-driven rebalancing: `off`, or `episode` to re-quantile
-  /// the strips at each midnight boundary from the previous day's
-  /// per-strip commit/wait statistics. Digest-invariant.
-  ReshardMode reshard = ReshardMode::kOff;
-  /// `cores` pins each per-strip engine pool to a contiguous CPU core
-  /// group; `none` (the default) leaves placement to the OS.
-  PinMode pin = PinMode::kNone;
-
   // ---- LLM serving platform (DES backend) ----
   /// Resolved through llm::find_model / llm::find_gpu; unknown names are a
   /// validation error, never a silent default.

@@ -429,94 +429,6 @@ TEST(Runtime, BoundaryLagProtocolMatchesGlobalLockUnderConcurrency) {
       << "sharded commits diverged from the global-lock reference";
 }
 
-TEST(Runtime, EpisodeReshardRebalancesWithoutChangingTheWorld) {
-  // Adaptive partitioning at the engine layer: a hotspot crowd (18 of 24
-  // wanderers in the west quarter of a wide map) run under three
-  // settings — static equal-width strips, population-quantile strips,
-  // and equal-width with one mid-run contention-driven reshard plus
-  // core-pinned strip pools — must produce identical final worlds.
-  // The reshard setting must genuinely fire: one reshard counted, and a
-  // non-uniform partition left behind.
-  world::GridMap map(400, 12);
-  std::vector<Tile> starts;
-  for (int i = 0; i < 18; ++i) {
-    starts.push_back(Tile{5 + (i % 6) * 15, 1 + (i / 6) * 4});
-  }
-  for (int i = 0; i < 6; ++i) {
-    starts.push_back(Tile{120 + i * 45, 6});
-  }
-  struct Setting {
-    world::PartitionKind partition;
-    bool reshard;
-    bool pin;
-  };
-  const Setting settings[] = {
-      {world::PartitionKind::kEqualWidth, false, false},
-      {world::PartitionKind::kEqualPopulation, false, false},
-      {world::PartitionKind::kEqualWidth, true, true},
-  };
-  std::uint64_t hashes[3];
-  int idx = 0;
-  for (const Setting& setting : settings) {
-    std::vector<std::unique_ptr<Agent>> agents;
-    for (int i = 0; i < 24; ++i) {
-      agents.push_back(std::make_unique<WandererAgent>(
-          2000 + static_cast<std::uint64_t>(i) * 17));
-    }
-    world::WorldState world(&map, starts);
-    llm::FakeLlmClient llm(5, /*latency_us=*/150);
-    runtime::EngineConfig cfg;
-    cfg.params = core::DependencyParams{4.0, 1.0};
-    cfg.target_step = 15;
-    cfg.n_workers = 8;
-    cfg.shards = 8;
-    cfg.partition = setting.partition;
-    if (setting.reshard) cfg.reshard_at = {8};
-    cfg.pin_cores = setting.pin;
-    auto step_fn = [&](const core::AgentCluster& cluster,
-                       const world::WorldState& w) {
-      std::vector<world::StepIntent> intents;
-      for (AgentId m : cluster.members) {
-        Observation obs;
-        obs.self = m;
-        obs.step = cluster.step;
-        {
-          aimetro::common::ReaderLock lock(w.mutex());
-          obs.position = w.tile_of(m);
-        }
-        obs.map = &map;
-        world::StepIntent intent =
-            agents[static_cast<std::size_t>(m)]->proceed(obs, llm);
-        intent.agent = m;
-        intents.push_back(intent);
-      }
-      return intents;
-    };
-    runtime::Engine engine(&world, cfg, step_fn);
-    const auto stats = engine.run();
-    EXPECT_EQ(stats.agent_steps, 24u * 15u);
-    if (setting.reshard) {
-      EXPECT_EQ(stats.reshards, 1u);
-      EXPECT_FALSE(engine.scoreboard().partition().uniform());
-    } else {
-      EXPECT_EQ(stats.reshards, 0u);
-    }
-    if (setting.partition == world::PartitionKind::kEqualPopulation) {
-      EXPECT_FALSE(engine.scoreboard().partition().uniform());
-    }
-    EXPECT_TRUE(engine.scoreboard().all_done());
-    engine.scoreboard().check_invariants();
-    {
-      aimetro::common::ReaderLock lock(world.mutex());
-      hashes[idx++] = world.state_hash();
-    }
-  }
-  EXPECT_EQ(hashes[0], hashes[1])
-      << "population partition diverged from equal-width";
-  EXPECT_EQ(hashes[0], hashes[2])
-      << "episode reshard diverged from the static partition";
-}
-
 TEST(Runtime, ScanModesProduceIdenticalGymWorlds) {
   // Indexed vs brute scoreboards must drive the OOO engine to the same
   // final world — the engine-side half of the differential guarantee.

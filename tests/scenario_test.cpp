@@ -87,6 +87,14 @@ TEST(SpecParse, RejectsUnknownKey) {
   ASSERT_FALSE(parsed);
   EXPECT_NE(parsed.error.find("unknown key"), std::string::npos);
   EXPECT_NE(parsed.error.find("no_such_key"), std::string::npos);
+  // The strips are always equal width: there is no placement, reshard or
+  // core-pinning key.
+  for (const char* text :
+       {"partition = population\n", "reshard = episode\n", "pin = cores\n"}) {
+    const auto removed = parse_spec_text(text);
+    ASSERT_FALSE(removed) << text;
+    EXPECT_NE(removed.error.find("unknown key"), std::string::npos) << text;
+  }
 }
 
 TEST(SpecParse, UnknownKeySuggestsTheNearestValidKey) {
@@ -422,18 +430,16 @@ TEST(Registry, MetroVilleIsParameterizedToOneHundredThousand) {
   EXPECT_FALSE(find_scenario("metro_villeXXL", &error).has_value());
 }
 
-TEST(Registry, SkewedVilleIsAHotspotReshardEpisode) {
+TEST(Registry, SkewedVilleIsAHotspotEpisodeAcrossMidnight) {
   std::string error;
   const auto s1k = find_scenario("skewed_ville1000", &error);
   ASSERT_TRUE(s1k.has_value()) << error;
   EXPECT_EQ(s1k->agents, 1000);
   EXPECT_EQ(s1k->segments, 40);
   EXPECT_DOUBLE_EQ(s1k->segment_skew, 0.3);
-  EXPECT_EQ(s1k->partition, PartitionChoice::kPopulation);
-  EXPECT_EQ(s1k->reshard, ReshardMode::kEpisode);
   EXPECT_EQ(validate_spec(*s1k), "");
   // The replay window must straddle the day-0/day-1 midnight so the
-  // episode reshard has a boundary to fire at.
+  // digest checks cover the day-to-day carry-over.
   EXPECT_EQ(s1k->days, 2);
   EXPECT_LT(s1k->window_begin, s1k->steps_per_day);
   EXPECT_GT(s1k->window_end, s1k->steps_per_day);
@@ -959,12 +965,10 @@ TEST(ScanModes, ShardedAndUnshardedDigestsAgreeOnEveryRegistryScenario) {
   }
 }
 
-TEST(ScanModes, EpisodeReshardKeepsDigestsAcrossTheMidnightBoundary) {
-  // The adaptive-partitioning guarantee end to end: a hotspot scenario
-  // replayed across its day-0/day-1 midnight — where reshard = episode
-  // moves the strip boundaries mid-run — must reach the same final state
-  // as the unsharded board, the static equal-width partition, and the
-  // pinned-pool configuration, on both backends.
+TEST(ScanModes, ShardedDigestsMatchAcrossTheMidnightBoundary) {
+  // A hotspot scenario replayed across its day-0/day-1 midnight must
+  // reach the same final state on four equal-width strips as on the
+  // unsharded board, on both backends.
   std::string error;
   auto spec = find_scenario("skewed_ville100", &error);
   ASSERT_TRUE(spec.has_value()) << error;
@@ -973,35 +977,18 @@ TEST(ScanModes, EpisodeReshardKeepsDigestsAcrossTheMidnightBoundary) {
   spec->call_latency_us = 0;
   ASSERT_EQ(validate_spec(*spec), "");
 
-  struct Variant {
-    std::int32_t shards;
-    PartitionChoice partition;
-    ReshardMode reshard;
-    PinMode pin;
-  };
-  const Variant variants[] = {
-      {1, PartitionChoice::kWidth, ReshardMode::kOff, PinMode::kNone},
-      {4, PartitionChoice::kWidth, ReshardMode::kOff, PinMode::kNone},
-      {4, PartitionChoice::kPopulation, ReshardMode::kEpisode, PinMode::kNone},
-      {4, PartitionChoice::kWidth, ReshardMode::kEpisode, PinMode::kCores},
-  };
   for (Backend backend : {Backend::kDes, Backend::kEngine}) {
     spec->backend = backend;
-    std::uint64_t reference = 0;
-    for (std::size_t v = 0; v < std::size(variants); ++v) {
-      spec->shards = variants[v].shards;
-      spec->partition = variants[v].partition;
-      spec->reshard = variants[v].reshard;
-      spec->pin = variants[v].pin;
+    std::uint64_t digests[2] = {0, 0};
+    const std::int32_t shard_counts[2] = {1, 4};
+    for (int v = 0; v < 2; ++v) {
+      spec->shards = shard_counts[v];
       const auto report = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-      if (v == 0) {
-        reference = report.scoreboard_digest;
-      } else {
-        EXPECT_EQ(report.scoreboard_digest, reference)
-            << "variant " << v << " on " << backend_name(backend);
-      }
+      EXPECT_EQ(report.shards, shard_counts[v]) << backend_name(backend);
       EXPECT_EQ(report.days, 2);
+      digests[v] = report.scoreboard_digest;
     }
+    EXPECT_EQ(digests[1], digests[0]) << backend_name(backend);
   }
 }
 

@@ -807,101 +807,30 @@ TEST_F(WorldStateTest, StateHashDetectsDifferences) {
   EXPECT_EQ(a.state_hash(), b.state_hash());
 }
 
-// ---- Region partitions (adaptive strip boundaries) ----
+// ---- Region partition (equal-width strips) ----
 
-TEST(RegionPartition, CutsClassifyLikeTheEquivalentUniformPartition) {
-  // A cuts-based partition whose boundaries sit exactly at the uniform
-  // positions must classify every position (and every box) identically to
-  // the equal-width representation, including the half-open boundary
-  // convention and out-of-range clamping.
-  const RegionPartition uniform(4, 0.0, 100.0);
-  const RegionPartition cuts({25.0, 50.0, 75.0}, 0.0, 100.0);
-  EXPECT_TRUE(uniform.uniform());
-  EXPECT_FALSE(cuts.uniform());
-  for (double x : {-10.0, 0.0, 12.5, 24.999, 25.0, 49.0, 50.0, 74.9, 75.0,
-                   99.0, 100.0, 250.0}) {
-    EXPECT_EQ(cuts.shard_of(Pos{x, 0.0}), uniform.shard_of(Pos{x, 0.0}))
-        << "x=" << x;
-    for (double r : {0.0, 3.0, 30.0}) {
-      const auto su = uniform.span_of_box(Pos{x, 0.0}, r);
-      const auto sc = cuts.span_of_box(Pos{x, 0.0}, r);
-      EXPECT_EQ(sc.lo, su.lo) << "x=" << x << " r=" << r;
-      EXPECT_EQ(sc.hi, su.hi) << "x=" << x << " r=" << r;
-    }
-  }
-  for (std::int32_t k = 0; k <= 4; ++k) {
-    EXPECT_DOUBLE_EQ(cuts.boundary(k), uniform.boundary(k)) << k;
-  }
-}
-
-TEST(RegionPartition, EqualPopulationBalancesASkewedHistogram) {
-  // 90 agents piled into [0, 10), 10 spread over [10, 100): population
-  // quantiles must put three of the four strips inside the hotspot, where
-  // equal-width strips would leave three strips nearly empty.
-  std::vector<double> xs;
-  for (int i = 0; i < 90; ++i) xs.push_back(i * 10.0 / 90.0);
-  for (int i = 0; i < 10; ++i) xs.push_back(10.0 + i * 9.0);
-  const auto part = RegionPartition::equal_population(4, xs);
+TEST(RegionPartition, EqualWidthStripsAreHalfOpenAndClamped) {
+  // Four 25-wide strips over [0, 100]: a position on a boundary belongs
+  // to the right strip, and positions outside the range (or NaN) clamp
+  // to the edge strips. A box maps to the strip span its x-extent hits.
+  const RegionPartition part(4, 0.0, 100.0);
   ASSERT_EQ(part.shards(), 4);
-  std::vector<int> count(4, 0);
-  for (double x : xs) ++count[static_cast<std::size_t>(
-      part.shard_of(Pos{x, 0.0}))];
-  for (int c : count) {
-    EXPECT_GE(c, 20) << "strip far below its population share";
-    EXPECT_LE(c, 30) << "strip far above its population share";
+  const std::vector<std::pair<double, std::int32_t>> cases = {
+      {-10.0, 0}, {0.0, 0},   {24.999, 0}, {25.0, 1}, {49.0, 1},
+      {50.0, 2},  {74.9, 2},  {75.0, 3},   {100.0, 3}, {250.0, 3},
+      {std::nan(""), 0}};
+  for (const auto& [x, strip] : cases) {
+    EXPECT_EQ(part.shard_of(Pos{x, 0.0}), strip) << "x=" << x;
   }
-  // All-identical positions degenerate to the single-strip-0 clamp.
-  const auto flat =
-      RegionPartition::equal_population(4, std::vector<double>(8, 5.0));
-  for (double x : {-1.0, 5.0, 9.0}) {
-    EXPECT_EQ(flat.shard_of(Pos{x, 0.0}), 0);
-  }
-}
-
-TEST(RegionPartition, RebalancedMovesBoundariesTowardTheLoad) {
-  // Strip 0 carried 3x the load of each other strip: after re-quantiling,
-  // the first boundary must move left (strip 0 shrinks) and every
-  // boundary stays sorted inside the range. Equal weights on a uniform
-  // partition must reproduce the uniform boundaries.
-  const RegionPartition uniform(4, 0.0, 100.0);
-  const auto even = uniform.rebalanced({1.0, 1.0, 1.0, 1.0});
-  for (std::int32_t k = 0; k <= 4; ++k) {
-    EXPECT_NEAR(even.boundary(k), uniform.boundary(k), 1e-9) << k;
-  }
-  const auto skewed = uniform.rebalanced({3.0, 1.0, 1.0, 1.0});
-  EXPECT_LT(skewed.boundary(1), uniform.boundary(1));
-  EXPECT_LT(skewed.boundary(2), uniform.boundary(2));
-  for (std::int32_t k = 1; k <= 4; ++k) {
-    EXPECT_GE(skewed.boundary(k), skewed.boundary(k - 1)) << k;
-  }
-  EXPECT_GE(skewed.boundary(1), 0.0);
-  EXPECT_LE(skewed.boundary(3), 100.0);
-  // Hot strip 0 now splits across the first two new strips: the second
-  // boundary lands inside old strip 0's [0, 25) span scaled by weight —
-  // total 6, targets at 1.5/3.0/4.5 → cuts 12.5, 25, 62.5.
-  EXPECT_NEAR(skewed.boundary(1), 12.5, 1e-9);
-  EXPECT_NEAR(skewed.boundary(2), 25.0, 1e-9);
-  EXPECT_NEAR(skewed.boundary(3), 62.5, 1e-9);
-  // Degenerate inputs return the partition unchanged.
-  const auto zero = uniform.rebalanced({0.0, 0.0, 0.0, 0.0});
-  EXPECT_EQ(zero, uniform);
-}
-
-TEST(RegionPartition, RebalancedHandlesZeroWeightEdgeStrips) {
-  // Idle edge strips merge into their neighbors without producing
-  // out-of-range or unsorted cuts.
-  const RegionPartition uniform(4, 0.0, 80.0);
-  const auto part = uniform.rebalanced({0.0, 5.0, 0.0, 0.0});
-  for (std::int32_t k = 1; k <= 4; ++k) {
-    EXPECT_GE(part.boundary(k), part.boundary(k - 1)) << k;
-    EXPECT_GE(part.boundary(k), 0.0);
-    EXPECT_LE(part.boundary(k), 80.0);
-  }
-  // All load sat in strip 1 ([20, 40)): every new boundary lands there.
-  for (std::int32_t k = 1; k < 4; ++k) {
-    EXPECT_GE(part.boundary(k), 20.0) << k;
-    EXPECT_LE(part.boundary(k), 40.0) << k;
-  }
+  const auto inside = part.span_of_box(Pos{30.0, 0.0}, 3.0);
+  EXPECT_TRUE(inside.single());
+  EXPECT_EQ(inside.lo, 1);
+  const auto wide = part.span_of_box(Pos{30.0, 0.0}, 30.0);
+  EXPECT_EQ(wide.lo, 0);
+  EXPECT_EQ(wide.hi, 2);
+  // A degenerate x-range puts everything in strip 0.
+  const RegionPartition flat(4, 5.0, 5.0);
+  for (double x : {-1.0, 5.0, 9.0}) EXPECT_EQ(flat.shard_of(Pos{x, 0.0}), 0);
 }
 
 }  // namespace
