@@ -106,11 +106,9 @@ BENCHMARK_CAPTURE(BM_SpatialIndexQuery, ville_lag52, 5640.0, 5.0, 57.0)
     ->Arg(1000);
 
 // Full dispatch->commit cycles over a crowd of the given size: the cost
-// of the dependency bookkeeping per agent-step, for the spatial-index
-// probe path against the historical full-scan reference. At the paper's
-// sparsity the indexed path should scale near-flat per agent-step while
-// brute force grows linearly — this pair headlines the win.
-void BM_ScoreboardCommit(benchmark::State& state, core::ScanMode mode) {
+// of the dependency bookkeeping per agent-step on the spatial-index probe
+// path. At the paper's sparsity it should scale near-flat per agent-step.
+void BM_ScoreboardCommit(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   constexpr Step kTarget = 5;
   Rng rng(7);
@@ -121,7 +119,7 @@ void BM_ScoreboardCommit(benchmark::State& state, core::ScanMode mode) {
       init.push_back(Pos{rng.uniform(0, n * 4.0), rng.uniform(0, 100.0)});
     }
     core::Scoreboard sb(core::DependencyParams{4.0, 1.0},
-                        core::make_euclidean(), init, kTarget, mode);
+                        core::make_euclidean(), init, kTarget);
     state.ResumeTiming();
     std::uint64_t steps = 0;
     while (!sb.all_done()) {
@@ -142,12 +140,9 @@ void BM_ScoreboardCommit(benchmark::State& state, core::ScanMode mode) {
   state.counters["N"] = n;
   state.counters["shards"] = 1;
 }
-BENCHMARK_CAPTURE(BM_ScoreboardCommit, brute, core::ScanMode::kBruteForce)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ScoreboardCommit, indexed, core::ScanMode::kIndexed)
+// Keeps the historical record name BM_ScoreboardCommit_indexed.
+BENCHMARK(BM_ScoreboardCommit)
+    ->Name("BM_ScoreboardCommit/indexed")
     ->Arg(100)
     ->Arg(1000)
     ->Arg(10000)
@@ -197,8 +192,8 @@ BENCHMARK(BM_GiantClusterCommit)
 
 // "Who is within r hops of here" on a social graph, one agent per node:
 // the graph-metric neighbor probe the scoreboard issues on every
-// dispatch/commit. `brute` is exactly the full-scan reference path — a
-// GraphMetric distance test against every agent (the metric's lazy BFS
+// dispatch/commit. `brute` is a full metric scan — a GraphMetric
+// distance test against every agent (the metric's lazy BFS
 // row cache included, so this is the real cost, not a strawman); the
 // indexed probe walks the GraphIndex ball, touching only the ~d^r nodes
 // inside it. The gap is the reason social_net10000 is tractable.

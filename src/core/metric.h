@@ -32,7 +32,8 @@ class Metric {
   /// ball of radius r. This is the property that lets the scoreboard
   /// answer "who is within r of a" with a world::SpatialIndex box probe;
   /// metrics without it (GraphMetric: positions encode node ids, not
-  /// coordinates) use the graph index below, or fall back to full scans.
+  /// coordinates) must expose the graph adjacency below instead; the
+  /// scoreboard rejects a metric with neither property.
   virtual bool lower_bounded_by_chebyshev() const { return false; }
 
   /// Non-null when this metric is hop count over a fixed undirected graph

@@ -22,30 +22,28 @@ double index_cell_size(const DependencyParams& params) {
 Scoreboard::Scoreboard(DependencyParams params,
                        std::shared_ptr<const Metric> metric,
                        std::vector<Pos> initial_positions, Step target_step,
-                       ScanMode mode, std::int32_t shards)
-    : params_(params),
-      metric_(std::move(metric)),
-      target_step_(target_step),
-      mode_(mode) {
+                       std::int32_t shards)
+    : params_(params), metric_(std::move(metric)), target_step_(target_step) {
   AIM_CHECK(metric_ != nullptr);
   AIM_CHECK(target_step_ >= 0);
   AIM_CHECK(!initial_positions.empty());
   AIM_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
                 "shards must be in [1, " << kMaxShards << "], got " << shards);
-  indexable_ = metric_->lower_bounded_by_chebyshev();
-  if (mode_ == ScanMode::kIndexed && !indexable_) {
+  if (!metric_->lower_bounded_by_chebyshev()) {
     // Graph metrics can't be probed with Chebyshev boxes, but they expose
     // their adjacency: live agents go into a GraphIndex instead, and every
     // probe site walks a hop-bounded ball (an exact metric ball — hop
-    // distances are integral). A metric with neither property runs the
-    // full-scan path even in indexed mode.
-    if (const auto* adjacency = metric_->graph_adjacency()) {
-      graph_live_index_ = std::make_unique<world::GraphIndex>(adjacency);
-    }
+    // distances are integral).
+    const auto* adjacency = metric_->graph_adjacency();
+    AIM_CHECK_MSG(adjacency != nullptr,
+                  "metric " << metric_->name()
+                            << " is neither Chebyshev-bounded nor a graph "
+                               "metric; the scoreboard cannot probe it");
+    graph_live_index_ = std::make_unique<world::GraphIndex>(adjacency);
   }
   // The region partition only pays off where probes are strip-local box
-  // queries; the brute-force scan, graph-ball, and full-scan fallback
-  // paths collapse to one strip (behavior is identical either way).
+  // queries; graph-ball probes collapse to one strip (behavior is
+  // identical either way).
   shards_ = use_index() ? shards : 1;
   double x_min = initial_positions.front().x;
   double x_max = x_min;
@@ -71,40 +69,32 @@ Scoreboard::Scoreboard(DependencyParams params,
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     ++shard(partition_.shard_of(agents_[i].pos)).live_steps[0];
   }
-  if (use_index() || use_graph_index()) {
-    if (use_index()) {
-      std::vector<std::vector<std::pair<AgentId, Pos>>> per_strip(
-          static_cast<std::size_t>(shards_));
-      for (std::size_t i = 0; i < agents_.size(); ++i) {
-        per_strip[static_cast<std::size_t>(
-                      partition_.shard_of(agents_[i].pos))]
-            .emplace_back(static_cast<AgentId>(i), agents_[i].pos);
-      }
-      for (std::int32_t s = 0; s < shards_; ++s) {
-        shard(s).live_index.bulk_insert(per_strip[static_cast<std::size_t>(s)]);
-      }
-    } else {
-      std::vector<std::pair<AgentId, Pos>> items;
-      items.reserve(agents_.size());
-      for (std::size_t i = 0; i < agents_.size(); ++i) {
-        items.emplace_back(static_cast<AgentId>(i), agents_[i].pos);
-      }
-      graph_live_index_->bulk_insert(items);
+  if (use_index()) {
+    std::vector<std::vector<std::pair<AgentId, Pos>>> per_strip(
+        static_cast<std::size_t>(shards_));
+    for (std::size_t i = 0; i < agents_.size(); ++i) {
+      per_strip[static_cast<std::size_t>(partition_.shard_of(agents_[i].pos))]
+          .emplace_back(static_cast<AgentId>(i), agents_[i].pos);
     }
+    for (std::int32_t s = 0; s < shards_; ++s) {
+      shard(s).live_index.bulk_insert(per_strip[static_cast<std::size_t>(s)]);
+    }
+  } else {
+    std::vector<std::pair<AgentId, Pos>> items;
+    items.reserve(agents_.size());
+    for (std::size_t i = 0; i < agents_.size(); ++i) {
+      items.emplace_back(static_cast<AgentId>(i), agents_[i].pos);
+    }
+    graph_live_index_->bulk_insert(items);
   }
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     update_border_registration(static_cast<AgentId>(i), 0);
   }
   // Initial edges and clustering: everyone idle at step 0, so there are no
   // blockers (no lower step, nobody running); only coupling applies. The
-  // flood-fill expands each component through coupling-radius box probes
-  // (indexed) or full scans (brute) — the components, and therefore the
-  // cluster ids assigned in ascending-smallest-member order, are identical
-  // either way.
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    const std::int32_t strip = partition_.shard_of(agents_[i].pos);
-    shard(strip).idle_by_step[0].insert(static_cast<AgentId>(i));
-  }
+  // flood-fill expands each component through coupling-radius probes, so
+  // clusters are the coupling components, assigned ids in
+  // ascending-smallest-member order.
   for (std::size_t i = 0; i < agents_.size(); ++i) {
     if (agents_[i].cluster >= 0) continue;
     const std::int32_t strip = partition_.shard_of(agents_[i].pos);
@@ -126,14 +116,8 @@ Scoreboard::Scoreboard(DependencyParams params,
           frontier.push_back(v);
         }
       };
-      if (use_index() || use_graph_index()) {
-        for (AgentId v : probe_into(agent(u).pos, params_.coupling_radius())) {
-          consider(v);
-        }
-      } else {
-        for (std::size_t j = 0; j < agents_.size(); ++j) {
-          consider(static_cast<AgentId>(j));
-        }
+      for (AgentId v : probe_into(agent(u).pos, params_.coupling_radius())) {
+        consider(v);
       }
     }
     std::sort(rec.members.begin(), rec.members.end());
@@ -287,18 +271,18 @@ void Scoreboard::remove_edge(AgentId blocker, AgentId blocked) {
 
 void Scoreboard::recompute_blockers(AgentId id, Step floor) {
   AgentNode& node = agent(id);
-  // Drop all existing incoming edges, then rebuild. Indexed mode probes
-  // the largest radius any live agent could block from: blocking_radius(
-  // own step - min live step). Any blocker B at lag L satisfies dist <=
+  // Drop all existing incoming edges, then rebuild. The probe covers the
+  // largest radius any live agent could block from: blocking_radius(own
+  // step - min live step). Any blocker B at lag L satisfies dist <=
   // blocking_radius(L) <= blocking_radius(max lag), and every such metric
   // ball is inside the probe — a Chebyshev box for metrics with the
   // Chebyshev lower bound, a hop-bounded BFS ball for graph metrics — so
-  // the probe is a superset of the brute-force candidate set. Candidates
-  // arrive sorted by id — the same order the full scan visits them — so
-  // edge bookkeeping is byte-identical (see docs/ARCHITECTURE.md,
-  // "Dependency core"). Commits carrying a probe_floor use that lower
-  // bound instead of the exact minimum; the box only widens, and the
-  // exact blocks() predicate filters the extras.
+  // the probe is a superset of every agent that blocks `id`. Candidates
+  // arrive sorted by id, the order a full scan would visit them (see
+  // docs/ARCHITECTURE.md, "Dependency core"). Commits carrying a
+  // probe_floor use that lower bound instead of the exact minimum; the
+  // probe only widens, and the exact blocks() predicate filters the
+  // extras.
   const std::vector<AgentId> previous(node.blocked_by.begin(),
                                       node.blocked_by.end());
   for (AgentId b : previous) remove_edge(b, id);
@@ -316,16 +300,10 @@ void Scoreboard::recompute_blockers(AgentId id, Step floor) {
       ++found;
     }
   };
-  if (use_index() || use_graph_index()) {
-    const Step max_lag = node.step - floor;
-    AIM_CHECK(max_lag >= 0);
-    for (AgentId b : probe_into(node.pos, params_.blocking_radius(max_lag))) {
-      consider(b);
-    }
-  } else {
-    for (std::size_t j = 0; j < agents_.size(); ++j) {
-      consider(static_cast<AgentId>(j));
-    }
+  const Step max_lag = node.step - floor;
+  AIM_CHECK(max_lag >= 0);
+  for (AgentId b : probe_into(node.pos, params_.blocking_radius(max_lag))) {
+    consider(b);
   }
   ShardData& sd = shard(partition_.shard_of(node.pos));
   ++sd.blocker_samples;
@@ -349,32 +327,22 @@ void Scoreboard::cluster_in(AgentId id) {
   AgentNode& node = agent(id);
   AIM_CHECK(node.status == AgentStatus::kIdle && node.cluster < 0);
   const std::int32_t home = partition_.shard_of(node.pos);
-  shard(home).idle_by_step[node.step].insert(id);
 
   // Find idle same-step agents within the coupling radius; `id` may bridge
-  // several existing clusters into one. Indexed mode probes a
-  // coupling-radius box and filters to idle same-step agents — the same
-  // candidates the brute path reads out of idle_by_step.
+  // several existing clusters into one. The coupling-radius probe is
+  // filtered to idle, clustered, same-step agents.
   std::set<std::int64_t> neighbors_clusters;
-  auto consider = [&](AgentId other) {
-    if (other == id) return;
+  for (AgentId other : probe_into(node.pos, params_.coupling_radius())) {
+    if (other == id) continue;
     const AgentNode& o = agent(other);
     // Mid-commit, sibling members can already be idle but not yet
-    // clustered (their own cluster_in hasn't run; they are not in
-    // idle_by_step yet). Skip them — they will see us when they cluster
-    // in — so both scan modes read the same candidate set.
-    if (o.status != AgentStatus::kIdle || o.cluster < 0) return;
+    // clustered (their own cluster_in hasn't run). Skip them — they will
+    // see us when they cluster in.
+    if (o.status != AgentStatus::kIdle || o.cluster < 0) continue;
     if (coupled(metric_->distance(node.pos, o.pos), node.step, o.step,
                 params_)) {
       neighbors_clusters.insert(o.cluster);
     }
-  };
-  if (use_index() || use_graph_index()) {
-    for (AgentId other : probe_into(node.pos, params_.coupling_radius())) {
-      consider(other);
-    }
-  } else {
-    for (AgentId other : shard(0).idle_by_step.at(node.step)) consider(other);
   }
 
   std::int64_t target;
@@ -448,11 +416,6 @@ void Scoreboard::pop_shard_ready_into(std::int32_t strip,
       AIM_CHECK(node.status == AgentStatus::kIdle);
       node.status = AgentStatus::kRunning;
       node.cluster = -1;
-      auto& idle = shard(partition_.shard_of(node.pos)).idle_by_step;
-      auto idle_it = idle.find(rec.step);
-      AIM_CHECK(idle_it != idle.end());
-      idle_it->second.erase(m);
-      if (idle_it->second.empty()) idle.erase(idle_it);
       running_count_.fetch_add(1, std::memory_order_relaxed);
     }
     span_counters_remove(rec);
@@ -563,19 +526,21 @@ void Scoreboard::commit(const std::vector<std::pair<AgentId, Pos>>& moves,
     if (now_done) {
       node.status = AgentStatus::kDone;
       done_count_.fetch_add(1, std::memory_order_release);
-      if (use_index()) shard(old_strip).live_index.remove(id);
-      if (use_graph_index()) graph_live_index_->remove(id);
+      if (use_index()) {
+        shard(old_strip).live_index.remove(id);
+      } else {
+        graph_live_index_->remove(id);
+      }
     } else {
       node.status = AgentStatus::kIdle;
-      if (use_index()) {
-        if (old_strip == new_strip) {
-          shard(new_strip).live_index.update(id, pos);
-        } else {
-          shard(old_strip).live_index.remove(id);
-          shard(new_strip).live_index.insert(id, pos);
-        }
+      if (!use_index()) {
+        graph_live_index_->update(id, pos);
+      } else if (old_strip == new_strip) {
+        shard(new_strip).live_index.update(id, pos);
+      } else {
+        shard(old_strip).live_index.remove(id);
+        shard(new_strip).live_index.insert(id, pos);
       }
-      if (use_graph_index()) graph_live_index_->update(id, pos);
     }
     update_border_registration(id, floor);
   }
@@ -744,8 +709,7 @@ void Scoreboard::check_invariants() const {
                     "live agent " << id << " missing from its strip index");
       AIM_CHECK_MSG(index.position(id) == node.pos,
                     "index position drift for agent " << id);
-    }
-    if (use_graph_index()) {
+    } else {
       AIM_CHECK_MSG(graph_live_index_->contains(id),
                     "live agent " << id << " missing from the graph index");
       AIM_CHECK_MSG(graph_live_index_->position(id) == node.pos,
@@ -782,8 +746,11 @@ void Scoreboard::check_invariants() const {
           "cross-strip cluster counter drift in strip " << s);
     }
   }
-  if (use_index()) AIM_CHECK(indexed_total == live);
-  if (use_graph_index()) AIM_CHECK(graph_live_index_->size() == live);
+  if (use_index()) {
+    AIM_CHECK(indexed_total == live);
+  } else {
+    AIM_CHECK(graph_live_index_->size() == live);
+  }
 }
 
 std::string Scoreboard::to_dot() const {

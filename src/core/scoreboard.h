@@ -24,8 +24,9 @@
 // world::SpatialIndex (box probes), graph metrics use a world::GraphIndex
 // (hop-bounded BFS ball probes) — see "Dependency core" in
 // docs/ARCHITECTURE.md for the index structures and the radius math. A
-// brute-force full-scan reference path is retained for differential
-// testing (ScanMode::kBruteForce).
+// metric with neither property is rejected at construction. The
+// full-scan reference the tests compare against lives in
+// tests/support/reference_scoreboard.h.
 //
 // Sharding (the boundary-lag protocol, docs/ARCHITECTURE.md "Sharded
 // world"): with `shards > 1` the world is cut into equal-width x-strips
@@ -72,18 +73,6 @@ struct AgentCluster {
 
 enum class AgentStatus : std::uint8_t { kIdle, kRunning, kDone };
 
-/// How the scoreboard finds "relevant" agents when recomputing edges and
-/// clusters.
-///  - kIndexed: index probes bounded by the live lag spread (near-O(1)
-///    per commit at the paper's sparsity). Metrics with the Chebyshev
-///    lower bound probe spatial-index boxes; graph metrics (those
-///    exposing an adjacency) probe hop-bounded GraphIndex balls. A metric
-///    with neither property silently falls back to full scans — results
-///    are identical in every case.
-///  - kBruteForce: the historical O(n) full scan; the reference
-///    implementation for differential tests and benchmarks.
-enum class ScanMode : std::uint8_t { kIndexed, kBruteForce };
-
 /// Hard cap on the region partition (and the encoding of shard ids into
 /// the low bits of cluster ids).
 inline constexpr std::int32_t kMaxShards = 64;
@@ -106,14 +95,16 @@ class Scoreboard {
  public:
   /// Agents start idle at step 0 at `initial_positions`; the simulation
   /// finishes when every agent has committed `target_step` steps.
-  /// `shards` in [1, kMaxShards] requests a region partition; it takes
-  /// effect only on the spatial-index probe path (kIndexed with a
-  /// Chebyshev-bounded metric) and silently collapses to 1 otherwise —
+  /// `metric` must be Chebyshev-bounded (probed with spatial-index boxes)
+  /// or expose a graph adjacency (probed with hop-bounded balls);
+  /// anything else throws CheckError. `shards` in [1, kMaxShards]
+  /// requests a region partition; it takes effect only on the
+  /// spatial-index path and silently collapses to 1 for graph metrics —
   /// observable behavior is identical either way. The strips are equal
   /// width over the x-range of `initial_positions`.
   Scoreboard(DependencyParams params, std::shared_ptr<const Metric> metric,
              std::vector<Pos> initial_positions, Step target_step,
-             ScanMode mode = ScanMode::kIndexed, std::int32_t shards = 1);
+             std::int32_t shards = 1);
 
   // ---- Controller side ----
   /// All clusters that are ready right now (every member idle and
@@ -155,7 +146,6 @@ class Scoreboard {
   // ---- Introspection ----
   std::size_t agent_count() const { return agents_.size(); }
   Step target_step() const { return target_step_; }
-  ScanMode scan_mode() const { return mode_; }
   /// Effective shard count (1 unless the spatial-index path is active).
   std::int32_t shards() const { return shards_; }
   /// Home strip of a position under the region partition.
@@ -166,9 +156,9 @@ class Scoreboard {
   /// Idle clusters whose members span multiple strips, counted against
   /// every strip they touch.
   std::int32_t cross_cluster_count(std::int32_t shard) const;
-  /// True when kIndexed probes are answered by the hop-bounded graph
-  /// index (non-Chebyshev metric exposing a graph adjacency) rather than
-  /// the spatial box index. False in brute mode either way.
+  /// True when probes are answered by the hop-bounded graph index
+  /// (non-Chebyshev metric exposing a graph adjacency) rather than the
+  /// spatial box index.
   bool use_graph_index() const { return graph_live_index_ != nullptr; }
   bool all_done() const {
     return done_count_.load(std::memory_order_acquire) == agents_.size();
@@ -240,15 +230,12 @@ class Scoreboard {
     /// the probe structure for recompute_blockers / cluster_in.
     /// Maintained only when use_index().
     world::SpatialIndex live_index;
-    /// Live agents per step; begin() is this strip's min. Maintained in
-    /// every mode: min_step() and the radius bound read it.
+    /// Live agents per step; begin() is this strip's min. Maintained for
+    /// both metric kinds: min_step() and the radius bound read it.
     std::map<Step, std::int32_t> live_steps;
     std::map<std::int64_t, ClusterRec> clusters;
     /// Clusters touched since the last pop (candidates for readiness).
     std::set<std::int64_t> dirty_clusters;
-    /// Idle agents bucketed by step (coupling candidates for the
-    /// brute-force path; pop bookkeeping either way).
-    std::map<Step, std::set<AgentId>> idle_by_step;
     /// Agents whose border registration includes this strip.
     std::set<AgentId> border_agents;
     /// Idle clusters spanning this strip plus at least one other. A
@@ -276,11 +263,12 @@ class Scoreboard {
     return static_cast<std::int32_t>(cid & (kMaxShards - 1));
   }
 
-  bool use_index() const { return mode_ == ScanMode::kIndexed && indexable_; }
+  /// True when probes go to the per-strip spatial box indexes
+  /// (Chebyshev-bounded metric); false for the graph index.
+  bool use_index() const { return graph_live_index_ == nullptr; }
   /// Every live agent whose metric distance from `center` could be <=
   /// radius (sorted by id; exact predicates applied by the caller).
-  /// Fans out over the strips the box overlaps. Requires use_index() or
-  /// use_graph_index().
+  /// Fans out over the strips the box overlaps.
   const std::vector<AgentId>& probe_into(const Pos& center, double radius);
   /// Smallest step among live (non-done) agents; target_step when all
   /// done. The tight bound for the blocking-radius box probe. Reads
@@ -296,8 +284,7 @@ class Scoreboard {
   void add_edge(AgentId blocker, AgentId blocked);
   void remove_edge(AgentId blocker, AgentId blocked);
   /// Recompute blocked_by for `id` from scratch: a blocking_radius(max
-  /// live lag) box probe in indexed mode (lag bounded below by `floor`),
-  /// a full scan otherwise.
+  /// live lag) probe, the lag bounded below by `floor`.
   void recompute_blockers(AgentId id, Step floor);
   /// Re-check the agents `id` currently blocks; drop stale edges.
   void refresh_outgoing(AgentId id);
@@ -317,16 +304,14 @@ class Scoreboard {
   DependencyParams params_;
   std::shared_ptr<const Metric> metric_;
   Step target_step_;
-  ScanMode mode_;
-  bool indexable_ = false;  // metric admits box-superset probes
   std::int32_t shards_ = 1;
   world::RegionPartition partition_{1, 0.0, 0.0};
   std::vector<AgentNode> agents_;
   std::vector<std::unique_ptr<ShardData>> shards_data_;
   /// The graph-metric sibling of the spatial indexes: live agents
   /// bucketed by graph node, probed with hop-bounded BFS balls. Non-null
-  /// exactly when mode is kIndexed and the metric exposes an adjacency
-  /// (which forces shards() == 1).
+  /// exactly when the metric is not Chebyshev-bounded (it then exposes an
+  /// adjacency, which forces shards() == 1).
   std::unique_ptr<world::GraphIndex> graph_live_index_;
   /// Merge buffers for probes that straddle strips. Only touched by
   /// cross-shard probes, which callers serialize exclusively.

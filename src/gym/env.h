@@ -59,8 +59,6 @@ struct EnvConfig {
   std::int32_t pool_workers = 0;
   /// true: AI Metropolis OOO engine; false: lock-step baseline.
   bool out_of_order = true;
-  /// Scoreboard neighbor-scan implementation for the OOO engine.
-  core::ScanMode scan_mode = core::ScanMode::kIndexed;
   bool kv_instrumentation = false;
 };
 

@@ -226,7 +226,7 @@ class Executor {
             : core::make_euclidean();
     scoreboard_ = std::make_unique<core::Scoreboard>(
         params, std::move(metric), std::move(initial), trace_.n_steps,
-        cfg_.scan_mode, cfg_.shards);
+        cfg_.shards);
     metropolis_dispatch();
   }
 

@@ -49,9 +49,6 @@ struct ExperimentConfig {
   EngineOverheads overheads;
   /// Max clusters concurrently assigned to workers; 0 = unlimited.
   std::int32_t max_concurrent_clusters = 0;
-  /// Scoreboard neighbor-scan implementation (Metropolis mode):
-  /// spatial-index probes by default, full-scan reference on request.
-  core::ScanMode scan_mode = core::ScanMode::kIndexed;
   /// Region partition of the scoreboard (Metropolis mode). The DES is
   /// single-threaded, so this buys no concurrency here — it exists so
   /// replay can certify that a sharded board replays byte-identically to
@@ -78,7 +75,7 @@ struct ExperimentResult {
   core::ScoreboardStats scoreboard;
   double mean_blockers = 0.0;
   /// Strips the scoreboard actually ran: config.shards after its
-  /// collapse rules (brute scans and graph metrics run one strip).
+  /// collapse rule (graph metrics run one strip).
   std::int32_t shards = 1;
   /// Per-agent (step, position) at completion, indexed by AgentId —
   /// the final scoreboard state (Metropolis mode only). Lets callers check

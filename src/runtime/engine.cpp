@@ -19,16 +19,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point from,
           .count());
 }
 
-void check_unbounded(const TaskPool& pool) {
-  // Workers dispatch the clusters their own commits release: a bounded
-  // queue's backpressure would block a submitting worker on queue space
-  // that only workers (possibly all blocked the same way) can free.
-  // Refuse loudly.
-  AIM_CHECK_MSG(pool.max_queued() == 0,
-                "Engine requires unbounded TaskPools (workers dispatch "
-                "released clusters; backpressure would deadlock)");
-}
-
 }  // namespace
 
 Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
@@ -46,10 +36,9 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
   scoreboard_ = std::make_unique<core::Scoreboard>(
       config_.params,
       config_.metric ? config_.metric : core::make_euclidean(),
-      std::move(initial), config_.target_step, config_.scan_mode,
-      config_.shards);
-  // The scoreboard may collapse the partition (graph metrics, brute
-  // scans); size everything to what it actually runs.
+      std::move(initial), config_.target_step, config_.shards);
+  // The scoreboard collapses the partition for graph metrics; size
+  // everything to what it actually runs.
   shards_ = scoreboard_->shards();
   shard_rows_.assign(static_cast<std::size_t>(shards_) + 1, EngineStats{});
   shard_mutexes_.reserve(static_cast<std::size_t>(shards_));
@@ -57,23 +46,14 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
     shard_mutexes_.push_back(std::make_unique<common::Mutex>("engine.shard"));
   }
 
-  if (config_.pool != nullptr) {
-    check_unbounded(*config_.pool);
-    strip_pools_.assign(static_cast<std::size_t>(shards_), config_.pool);
-  } else if (shards_ > 1) {
-    // Private pool per strip, splitting n_workers between them so the
-    // total thread budget matches the unsharded configuration.
-    const std::int32_t per_shard =
-        std::max<std::int32_t>(1, (config_.n_workers + shards_ - 1) / shards_);
-    for (std::int32_t s = 0; s < shards_; ++s) {
-      owned_strip_pools_.push_back(std::make_unique<TaskPool>(per_shard));
-      strip_pools_.push_back(owned_strip_pools_.back().get());
-    }
-  } else {
-    owned_pool_ = std::make_unique<TaskPool>(config_.n_workers);
-    strip_pools_.assign(1, owned_pool_.get());
+  // One pool per strip, splitting n_workers between them so the total
+  // thread budget matches the unsharded configuration.
+  const std::int32_t per_shard =
+      std::max<std::int32_t>(1, (config_.n_workers + shards_ - 1) / shards_);
+  pools_.reserve(static_cast<std::size_t>(shards_));
+  for (std::int32_t s = 0; s < shards_; ++s) {
+    pools_.push_back(std::make_unique<TaskPool>(per_shard));
   }
-  pool_ = strip_pools_.front();
 
   if (config_.kv_instrumentation) {
     for (std::size_t i = 0; i < world_->agent_count(); ++i) {
@@ -87,9 +67,9 @@ Engine::Engine(world::WorldState* world, EngineConfig config, StepFn step_fn)
 }
 
 Engine::~Engine() {
-  // In-flight cluster tasks reference this engine; when the pools are
-  // external we cannot rely on the pool destructors to join them, so
-  // drain explicitly either way.
+  // In-flight cluster tasks use the locks and counters declared after
+  // pools_, which are destroyed before the pools join their workers, so
+  // wait for every task to finish before any member goes away.
   common::MutexLock lock(control_mutex_);
   while (inflight_clusters_.load(std::memory_order_acquire) != 0) {
     done_cv_.wait(control_mutex_);
@@ -112,7 +92,7 @@ void Engine::submit_clusters(std::vector<core::AgentCluster> ready) {
                            scoreboard_->pos_of(cluster.members.front()));
     const Step step = cluster.step;
     inflight_clusters_.fetch_add(1, std::memory_order_acq_rel);
-    strip_pools_[static_cast<std::size_t>(strip)]->submit(
+    pools_[static_cast<std::size_t>(strip)]->submit(
         step, [this, cluster = std::move(cluster)]() mutable {
           execute_cluster(std::move(cluster));
         });

@@ -65,30 +65,18 @@ struct EngineConfig {
   core::DependencyParams params;
   Step target_step = 100;
   std::int32_t n_workers = 4;
-  /// Scoreboard neighbor-scan implementation (spatial-index probes by
-  /// default; kBruteForce is the full-scan reference path for
-  /// differential testing).
-  core::ScanMode scan_mode = core::ScanMode::kIndexed;
   /// Distance model for the dependency rules. Null = Euclidean (the
   /// historical default). Graph worlds pass a core::GraphMetric here so
   /// the scoreboard measures hops; must outlive the engine.
   std::shared_ptr<const core::Metric> metric;
   /// Mirror agent state and an instrumentation stream into the kv store.
   bool kv_instrumentation = true;
-  /// Run cluster tasks on an externally owned pool instead of a private
-  /// one (the pool must outlive the engine and have no queue bound —
-  /// workers dispatch the clusters their own commits release, so
-  /// backpressure would deadlock them against each other; checked at
-  /// construction). Cluster concurrency is then bounded by that pool's
-  /// worker count, not n_workers — share a pool only when that is what
-  /// you mean.
-  TaskPool* pool = nullptr;
   /// Region partition of the world (1..core::kMaxShards). Values > 1
-  /// activate the boundary-lag commit protocol; the scoreboard may still
-  /// collapse to one strip (graph metrics, brute-force scans), in which
-  /// case every commit takes the cross-shard path and behavior matches
-  /// shards=1 exactly. Without an external `pool`, the engine spawns
-  /// one private pool per strip, splitting n_workers between them.
+  /// activate the boundary-lag commit protocol; the scoreboard still
+  /// collapses graph metrics to one strip, in which case every commit
+  /// takes the cross-shard path and behavior matches shards=1 exactly.
+  /// The engine spawns one private pool per strip, splitting n_workers
+  /// between them.
   std::int32_t shards = 1;
 };
 
@@ -118,8 +106,8 @@ class Engine {
   using StepFn = std::function<std::vector<world::StepIntent>(
       const core::AgentCluster& cluster, const world::WorldState& world)>;
 
-  /// Spawns the private worker pool(s) (when config.pool is unset) here,
-  /// so a caller timing run() never measures thread creation.
+  /// Spawns the worker pool(s) here, so a caller timing run() never
+  /// measures thread creation.
   Engine(world::WorldState* world, EngineConfig config, StepFn step_fn);
   ~Engine();
 
@@ -135,8 +123,6 @@ class Engine {
   /// returned (or before it started), when no worker can be mutating it.
   const core::Scoreboard& scoreboard() const { return *scoreboard_; }
   kv::Store& store() { return store_; }
-  /// The first cluster pool (the only one with shards=1).
-  const TaskPool& pool() const { return *pool_; }
   /// Effective strip count (after the scoreboard's collapse rules).
   std::int32_t shards() const { return shards_; }
   /// Per-strip commit contention rows, index shards() = the cross-shard
@@ -161,11 +147,9 @@ class Engine {
   std::unique_ptr<core::Scoreboard> scoreboard_;
   kv::Store store_;
 
-  std::unique_ptr<TaskPool> owned_pool_;
-  std::vector<std::unique_ptr<TaskPool>> owned_strip_pools_;
-  TaskPool* pool_ = nullptr;
-  /// Routing table, size shards(): per-strip pools or aliases of pool_.
-  std::vector<TaskPool*> strip_pools_;
+  /// Cluster pools, one per strip (size shards()), indexed by the home
+  /// strip of the clusters they run.
+  std::vector<std::unique_ptr<TaskPool>> pools_;
 
   std::int32_t shards_ = 1;
   /// Cross-shard commits hold this exclusively; interior commits hold it

@@ -10,24 +10,6 @@
 
 namespace aimetro::runtime {
 
-namespace {
-/// The pool (if any) the current thread is executing a task for. Lets
-/// submit() recognize recursive submissions and bypass the queue bound.
-thread_local const TaskPool* t_current_pool = nullptr;
-
-class CurrentPoolScope {
- public:
-  explicit CurrentPoolScope(const TaskPool* pool) : saved_(t_current_pool) {
-    t_current_pool = pool;
-  }
-  ~CurrentPoolScope() { t_current_pool = saved_; }
-
- private:
-  const TaskPool* saved_;
-};
-
-}  // namespace
-
 struct TaskPool::Handle::State {
   TaskPool::Task fn;
   /// Set by whichever thread claims the task (worker or waiting caller);
@@ -47,10 +29,10 @@ void TaskPool::Handle::wait() const {
   if (state_->error) std::rethrow_exception(state_->error);
 }
 
-TaskPool::TaskPool(TaskPoolConfig config) : max_queued_(config.max_queued) {
-  AIM_CHECK(config.n_workers >= 1);
-  threads_.reserve(static_cast<std::size_t>(config.n_workers));
-  for (std::int32_t i = 0; i < config.n_workers; ++i) {
+TaskPool::TaskPool(std::int32_t n_workers) {
+  AIM_CHECK(n_workers >= 1);
+  threads_.reserve(static_cast<std::size_t>(n_workers));
+  for (std::int32_t i = 0; i < n_workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -64,11 +46,6 @@ TaskPool::Handle TaskPool::submit(std::int64_t priority, Task fn) {
   {
     common::MutexLock lock(mutex_);
     AIM_CHECK_MSG(!shut_down_, "submit() on a shut-down TaskPool");
-    if (max_queued_ > 0 && t_current_pool != this) {
-      while (queued_ >= max_queued_ && !shut_down_) space_cv_.wait(mutex_);
-      AIM_CHECK_MSG(!shut_down_, "TaskPool shut down while submit() blocked");
-    }
-    ++queued_;
     ++in_flight_;
     if (in_flight_ > stats_.peak_in_flight) stats_.peak_in_flight = in_flight_;
     // Push while still holding mutex_: a shutdown() racing this submit
@@ -83,9 +60,6 @@ TaskPool::Handle TaskPool::submit(std::int64_t priority, Task fn) {
 
 void TaskPool::submit_and_wait(std::vector<Task> tasks,
                                std::int64_t priority) {
-  // Marking the whole batch as pool-internal bypasses the queue bound:
-  // the caller is about to help drain whatever it enqueues.
-  CurrentPoolScope scope(this);
   std::vector<Handle> handles;
   handles.reserve(tasks.size());
   for (Task& task : tasks) {
@@ -117,7 +91,6 @@ void TaskPool::shutdown() {
     common::MutexLock lock(mutex_);
     shut_down_ = true;
   }
-  space_cv_.notify_all();
   queue_.close();  // workers drain the backlog, then exit
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
@@ -130,13 +103,7 @@ TaskPoolStats TaskPool::stats() const {
 }
 
 void TaskPool::worker_loop() {
-  CurrentPoolScope scope(this);
   while (std::optional<StatePtr> state = queue_.pop()) {
-    {
-      common::MutexLock lock(mutex_);
-      --queued_;
-    }
-    space_cv_.notify_one();
     try_execute(*state, /*inline_run=*/false);
   }
 }

@@ -24,9 +24,6 @@
 //     instead of deadlocking, which makes nested waits — a pool task
 //     waiting on a batch it submitted to the same pool — safe by
 //     construction.
-//   - an optional queue bound applies backpressure to external submitters;
-//     pool workers and submit_and_wait batches bypass it so the pool can
-//     never wedge itself.
 //   - shutdown() (and the destructor) drains queued tasks before joining:
 //     work accepted is work executed.
 #pragma once
@@ -42,16 +39,6 @@
 #include "common/thread_annotations.h"
 
 namespace aimetro::runtime {
-
-struct TaskPoolConfig {
-  /// Persistent worker threads, spawned in the constructor.
-  std::int32_t n_workers = 4;
-  /// Backpressure bound on tasks waiting for a worker; 0 = unbounded.
-  /// submit() from outside the pool blocks while the backlog is full.
-  /// Submissions from a pool worker or inside submit_and_wait bypass the
-  /// bound (blocking them could deadlock the pool against itself).
-  std::size_t max_queued = 0;
-};
 
 struct TaskPoolStats {
   /// Tasks completed, by who ran them: pool workers vs. waiting callers
@@ -85,18 +72,15 @@ class TaskPool {
     std::shared_ptr<State> state_;
   };
 
-  explicit TaskPool(TaskPoolConfig config);
-  /// Convenience: a pool of `n_workers` with an unbounded queue.
-  explicit TaskPool(std::int32_t n_workers)
-      : TaskPool(TaskPoolConfig{n_workers, 0}) {}
+  /// Spawns `n_workers` (>= 1) persistent worker threads.
+  explicit TaskPool(std::int32_t n_workers);
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
   /// Enqueue `fn` at the given priority (smaller runs first, FIFO within
-  /// equal priority; plain submit() uses priority 0). Blocks only when a
-  /// queue bound is configured and the caller is outside the pool.
+  /// equal priority; plain submit() uses priority 0). Never blocks.
   Handle submit(std::int64_t priority, Task fn);
   Handle submit(Task fn) { return submit(0, std::move(fn)); }
 
@@ -118,10 +102,6 @@ class TaskPool {
   std::int32_t workers() const {
     return static_cast<std::int32_t>(threads_.size());
   }
-  /// The configured queue bound (0 = unbounded). Lets a borrower that
-  /// submits while holding its own locks (e.g. runtime::Engine) refuse
-  /// bounded pools up front instead of deadlocking against backpressure.
-  std::size_t max_queued() const { return max_queued_; }
   TaskPoolStats stats() const;
 
  private:
@@ -140,10 +120,6 @@ class TaskPool {
 
   mutable common::Mutex mutex_{"task_pool"};
   mutable common::CondVar idle_cv_;
-  common::CondVar space_cv_;
-  std::size_t max_queued_ = 0;  // immutable after construction
-  /// Submitted, not yet popped by a worker.
-  std::size_t queued_ GUARDED_BY(mutex_) = 0;
   /// Submitted, not yet finished.
   std::uint64_t in_flight_ GUARDED_BY(mutex_) = 0;
   TaskPoolStats stats_ GUARDED_BY(mutex_);

@@ -213,12 +213,6 @@ EngineLlmStack make_engine_llm(const ScenarioSpec& spec) {
   return stack;
 }
 
-core::ScanMode scan_mode_of(const ScenarioSpec& spec) {
-  return spec.scoreboard == ScoreboardKind::kBrute
-             ? core::ScanMode::kBruteForce
-             : core::ScanMode::kIndexed;
-}
-
 std::int32_t sign(std::int32_t d) { return d > 0 ? 1 : (d < 0 ? -1 : 0); }
 
 /// One 4-neighbor step from `from` toward `to` (axis with the larger gap
@@ -384,7 +378,6 @@ replay::ExperimentConfig ScenarioDriver::experiment_config() const {
   cfg.gpu = *gpu;
   cfg.parallelism =
       llm::ParallelismConfig{spec_.tensor_parallel, spec_.data_parallel};
-  cfg.scan_mode = scan_mode_of(spec_);
   cfg.shards = spec_.resolved_shards();
   return cfg;
 }
@@ -617,7 +610,6 @@ ScenarioReport ScenarioDriver::run_engine_trace(bool serial_baseline) const {
     ecfg.params = core::DependencyParams{spec_.radius_p, spec_.max_vel};
     ecfg.target_step = tr.n_steps;
     ecfg.n_workers = workers;
-    ecfg.scan_mode = scan_mode_of(spec_);
     ecfg.kv_instrumentation = false;
     ecfg.metric = metric;  // null = Euclidean
     ecfg.shards = spec_.resolved_shards();
@@ -816,7 +808,6 @@ ScenarioReport ScenarioDriver::run_engine_gym(bool serial_baseline) const {
   cfg.target_step = spec_.sim_steps();
   cfg.n_workers = spec_.workers;
   cfg.pool_workers = spec_.resolved_pool_workers();
-  cfg.scan_mode = scan_mode_of(spec_);
 
   // Baseline: lock-step execution (Algorithm 1), same LLM pricing.
   double serial_secs = 0.0;

@@ -80,8 +80,8 @@ struct ScenarioReport {
   std::int32_t pool_workers = 0;
   std::uint64_t peak_inflight_tasks = 0;
 
-  /// Effective scoreboard strip count (after the collapse rules: brute
-  /// scans and graph metrics run unsharded regardless of the spec).
+  /// Effective scoreboard strip count (after the collapse rule: graph
+  /// metrics run unsharded regardless of the spec).
   std::int32_t shards = 1;
   /// Engine backend, shards > 1 only: commit-lock contention per strip.
   /// The `shard = -1` row is the cross-shard (boundary-reconciliation)

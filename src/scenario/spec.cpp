@@ -86,22 +86,6 @@ std::optional<ClockKind> clock_from_name(const std::string& name) {
   return std::nullopt;
 }
 
-const char* scoreboard_name(ScoreboardKind s) {
-  switch (s) {
-    case ScoreboardKind::kIndexed:
-      return "indexed";
-    case ScoreboardKind::kBrute:
-      return "brute";
-  }
-  return "?";
-}
-
-std::optional<ScoreboardKind> scoreboard_from_name(const std::string& name) {
-  if (name == "indexed") return ScoreboardKind::kIndexed;
-  if (name == "brute") return ScoreboardKind::kBrute;
-  return std::nullopt;
-}
-
 namespace {
 
 // ---- Typed conversion layer (std::from_chars based) ----
@@ -167,13 +151,6 @@ bool conv(const std::string& v, ClockKind* out) {
   return true;
 }
 
-bool conv(const std::string& v, ScoreboardKind* out) {
-  const auto s = scoreboard_from_name(v);
-  if (!s) return false;
-  *out = *s;
-  return true;
-}
-
 // ---- Rendering (for to_text round trips) ----
 
 std::string render(const std::string& v) { return v; }
@@ -184,7 +161,6 @@ std::string render(Backend v) { return backend_name(v); }
 std::string render(MapKind v) { return map_kind_name(v); }
 std::string render(WorldKind v) { return world_name(v); }
 std::string render(ClockKind v) { return clock_name(v); }
-std::string render(ScoreboardKind v) { return scoreboard_name(v); }
 std::string render(double v) {
   // Shortest representation that from_chars converts back exactly.
   char buf[64];
@@ -234,7 +210,6 @@ const std::vector<Field>& fields() {
       AIM_SPEC_FIELD("seed", seed),
       AIM_SPEC_FIELD("radius_p", radius_p),
       AIM_SPEC_FIELD("max_vel", max_vel),
-      AIM_SPEC_FIELD("scoreboard", scoreboard),
       // `shards` reads/writes `auto` for the 0 sentinel, so the macro's
       // plain integer conversion does not fit.
       Field{"shards",

@@ -58,15 +58,6 @@ enum class ClockKind : std::uint8_t { kWall, kVirtual };
 const char* clock_name(ClockKind c);
 std::optional<ClockKind> clock_from_name(const std::string& name);
 
-/// Scoreboard neighbor-scan implementation (core::ScanMode).
-///  - kIndexed: spatial-index box probes — the production path.
-///  - kBrute: the O(n) full-scan reference, for differential digest
-///    checks; results are identical, only the cost differs.
-enum class ScoreboardKind : std::uint8_t { kIndexed, kBrute };
-
-const char* scoreboard_name(ScoreboardKind s);
-std::optional<ScoreboardKind> scoreboard_from_name(const std::string& name);
-
 struct ScenarioSpec {
   std::string name = "unnamed";
   std::string description;
@@ -122,10 +113,6 @@ struct ScenarioSpec {
   // ---- Dependency parameters ----
   double radius_p = 4.0;
   double max_vel = 1.0;
-  /// Scoreboard scan implementation on both backends: `indexed` (spatial
-  /// index, the default) or `brute` (full-scan reference path — same
-  /// results, O(n) per commit; for differential digest checks).
-  ScoreboardKind scoreboard = ScoreboardKind::kIndexed;
   /// Region partition of the scoreboard: `auto` (scale with the agent
   /// count; see resolved_shards()) or an explicit strip count in
   /// [1, 64] (core::kMaxShards). Internally 0 = auto. Digests are

@@ -140,70 +140,6 @@ TEST(OooEquivalence, CoupledMembersRunThroughTheChainPool) {
   EXPECT_EQ(ooo.chain_pool().workers(), 1);
 }
 
-TEST(Runtime, EngineRunsOnAnExternalTaskPool) {
-  // Two consecutive engine runs share one externally-owned pool — the
-  // multi-pool extension point EngineConfig::pool exists for. Outcomes
-  // must match a private-pool run.
-  const auto map = arena_map();
-  runtime::TaskPool shared(3);
-  std::uint64_t hashes[2];
-  for (int run = 0; run < 2; ++run) {
-    llm::FakeLlmClient llm(5, 50);
-    world::WorldState world(&map, spread_starts(6));
-    runtime::EngineConfig cfg;
-    cfg.params = core::DependencyParams{4.0, 1.0};
-    cfg.target_step = 30;
-    cfg.n_workers = 3;
-    cfg.kv_instrumentation = false;
-    cfg.pool = &shared;
-    std::vector<std::unique_ptr<Agent>> agents = wanderers(6, 5);
-    auto step_fn = [&](const core::AgentCluster& cluster,
-                       const world::WorldState& w) {
-      std::vector<world::StepIntent> intents;
-      for (AgentId m : cluster.members) {
-        Observation obs;
-        obs.self = m;
-        obs.step = cluster.step;
-        {
-          aimetro::common::ReaderLock lock(w.mutex());
-          obs.position = w.tile_of(m);
-        }
-        obs.map = &map;
-        world::StepIntent intent =
-            agents[static_cast<std::size_t>(m)]->proceed(obs, llm);
-        intent.agent = m;
-        intents.push_back(intent);
-      }
-      return intents;
-    };
-    runtime::Engine engine(&world, cfg, step_fn);
-    const auto stats = engine.run();
-    EXPECT_EQ(stats.agent_steps, 6u * 30u);
-    hashes[run] = world.state_hash();
-  }
-  EXPECT_EQ(hashes[0], hashes[1]);
-  EXPECT_GT(shared.stats().tasks_executed, 0u);
-}
-
-TEST(Runtime, EngineRefusesBoundedExternalPools) {
-  // Dispatch happens under the engine lock; a bounded pool's
-  // backpressure could deadlock the dispatcher against its own workers,
-  // so the engine must reject bounded pools loudly at construction.
-  const auto map = arena_map();
-  world::WorldState world(&map, spread_starts(4));
-  runtime::TaskPoolConfig pool_cfg;
-  pool_cfg.n_workers = 2;
-  pool_cfg.max_queued = 1;
-  runtime::TaskPool bounded(pool_cfg);
-  runtime::EngineConfig cfg;
-  cfg.params = core::DependencyParams{4.0, 1.0};
-  cfg.pool = &bounded;
-  auto step_fn = [](const core::AgentCluster&, const world::WorldState&) {
-    return std::vector<world::StepIntent>{};
-  };
-  EXPECT_THROW(runtime::Engine(&world, cfg, step_fn), CheckError);
-}
-
 TEST(Runtime, StepFnExceptionPropagatesOutOfRun) {
   // A throwing StepFn used to terminate() the process from a worker
   // thread; the pool captures it and run() rethrows after draining.
@@ -427,26 +363,6 @@ TEST(Runtime, BoundaryLagProtocolMatchesGlobalLockUnderConcurrency) {
   }
   EXPECT_EQ(hashes[0], hashes[1])
       << "sharded commits diverged from the global-lock reference";
-}
-
-TEST(Runtime, ScanModesProduceIdenticalGymWorlds) {
-  // Indexed vs brute scoreboards must drive the OOO engine to the same
-  // final world — the engine-side half of the differential guarantee.
-  const auto map = arena_map();
-  std::uint64_t hashes[2] = {0, 0};
-  const core::ScanMode modes[2] = {core::ScanMode::kIndexed,
-                                   core::ScanMode::kBruteForce};
-  for (int i = 0; i < 2; ++i) {
-    llm::FakeLlmClient llm(9, 0);
-    EnvConfig cfg = env_config(true, 40, 4);
-    cfg.scan_mode = modes[i];
-    Env env(&map, spread_starts(8), wanderers(8, 9), &llm, cfg);
-    const auto stats = env.run();
-    EXPECT_EQ(stats.agent_steps, 8u * 40u);
-    EXPECT_GT(env.scoreboard_stats().clusters_dispatched, 0u);
-    hashes[i] = env.state_hash();
-  }
-  EXPECT_EQ(hashes[0], hashes[1]);
 }
 
 TEST(Runtime, ScalesToManyAgentsQuickly) {

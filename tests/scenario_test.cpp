@@ -88,9 +88,10 @@ TEST(SpecParse, RejectsUnknownKey) {
   EXPECT_NE(parsed.error.find("unknown key"), std::string::npos);
   EXPECT_NE(parsed.error.find("no_such_key"), std::string::npos);
   // The strips are always equal width: there is no placement, reshard or
-  // core-pinning key.
-  for (const char* text :
-       {"partition = population\n", "reshard = episode\n", "pin = cores\n"}) {
+  // core-pinning key. The full-scan scoreboard is a test-only reference,
+  // not a `scoreboard` key.
+  for (const char* text : {"partition = population\n", "reshard = episode\n",
+                           "pin = cores\n", "scoreboard = brute\n"}) {
     const auto removed = parse_spec_text(text);
     ASSERT_FALSE(removed) << text;
     EXPECT_NE(removed.error.find("unknown key"), std::string::npos) << text;
@@ -814,10 +815,10 @@ TEST(GraphWorld, SocialNetFamilyIsParameterized) {
   EXPECT_FALSE(find_scenario("social_netXL", &error).has_value());
 }
 
-TEST(GraphWorld, CrossBackendDigestsAgreeIndexedAndBrute) {
+TEST(GraphWorld, CrossBackendDigestsAgreeDesAndEngine) {
   // The tentpole guarantee at the scenario level: a graph world reaches
-  // the same final scoreboard state on the DES and engine backends, in
-  // indexed and brute scan modes — four runs, one digest.
+  // the same final scoreboard state, after the same calls, on the DES and
+  // engine backends.
   std::string error;
   auto spec = find_scenario("social_net10", &error);
   ASSERT_TRUE(spec.has_value()) << error;
@@ -826,93 +827,18 @@ TEST(GraphWorld, CrossBackendDigestsAgreeIndexedAndBrute) {
   spec->call_latency_us = 0;
   ASSERT_EQ(validate_spec(*spec), "");
 
-  std::vector<std::uint64_t> digests;
-  std::uint64_t calls = 0;
+  std::vector<ScenarioReport> reports;
   for (Backend backend : {Backend::kDes, Backend::kEngine}) {
-    for (ScoreboardKind scan :
-         {ScoreboardKind::kIndexed, ScoreboardKind::kBrute}) {
-      spec->backend = backend;
-      spec->scoreboard = scan;
-      const auto report = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-      EXPECT_EQ(report.agent_steps, 10u * 20u)
-          << backend_name(backend) << "/" << scoreboard_name(scan);
-      digests.push_back(report.scoreboard_digest);
-      if (calls == 0) calls = report.total_calls;
-      EXPECT_EQ(report.total_calls, calls);
-    }
+    spec->backend = backend;
+    reports.push_back(ScenarioDriver(*spec).run(/*serial_baseline=*/false));
+    EXPECT_EQ(reports.back().agent_steps, 10u * 20u) << backend_name(backend);
   }
-  ASSERT_EQ(digests.size(), 4u);
-  EXPECT_EQ(digests[0], digests[1]) << "des indexed vs brute";
-  EXPECT_EQ(digests[0], digests[2]) << "des vs engine";
-  EXPECT_EQ(digests[2], digests[3]) << "engine indexed vs brute";
+  EXPECT_EQ(reports[0].scoreboard_digest, reports[1].scoreboard_digest)
+      << "des vs engine";
+  EXPECT_EQ(reports[0].total_calls, reports[1].total_calls);
 }
 
-// ---- Scoreboard scan modes ----
-
-TEST(ScanModes, SpecKeyParsesRendersAndRejects) {
-  ScenarioSpec spec;
-  EXPECT_EQ(spec.scoreboard, ScoreboardKind::kIndexed);
-  std::string error;
-  ASSERT_TRUE(apply_override(&spec, "scoreboard=brute", &error)) << error;
-  EXPECT_EQ(spec.scoreboard, ScoreboardKind::kBrute);
-  EXPECT_NE(spec.to_text().find("scoreboard = brute"), std::string::npos);
-  EXPECT_FALSE(apply_override(&spec, "scoreboard=quadtree", &error));
-  EXPECT_EQ(validate_spec(spec), "");
-}
-
-TEST(ScanModes, BruteAndIndexedDigestsAgreeOnEveryRegistryScenario) {
-  // The differential guarantee at the workload level: for every shipped
-  // registry scenario, on both backends, the spatial-index scoreboard
-  // must reach the same final state (digest), dispatch the same clusters,
-  // and measure the same sparsity as the brute-force reference. Windows
-  // are shrunk so the whole sweep stays unit-test-sized; the Release CI
-  // smoke runs metro_ville1000 at full window.
-  for (const auto& entry : registry_entries()) {
-    std::string error;
-    auto spec = find_scenario(entry.name, &error);
-    ASSERT_TRUE(spec.has_value()) << error;
-    if (spec->map == MapKind::kArena) {
-      spec->steps_per_day = 20;  // live gym run: 20 target steps
-    } else {
-      spec->window_begin = 4320;
-      spec->window_end = 4340;
-      if (spec->agents > 200) {
-        spec->agents = 200;
-        spec->segments = std::min(spec->segments, 8);
-      }
-    }
-    spec->call_latency_us = 0;
-    ASSERT_EQ(validate_spec(*spec), "") << entry.name;
-
-    for (Backend backend : {Backend::kDes, Backend::kEngine}) {
-      if (spec->map == MapKind::kArena && backend == Backend::kDes) {
-        continue;  // arena maps are engine-only
-      }
-      spec->backend = backend;
-      spec->scoreboard = ScoreboardKind::kIndexed;
-      const auto indexed = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-      spec->scoreboard = ScoreboardKind::kBrute;
-      const auto brute = ScenarioDriver(*spec).run(/*serial_baseline=*/false);
-
-      EXPECT_EQ(indexed.scoreboard_digest, brute.scoreboard_digest)
-          << entry.name << " on " << backend_name(backend);
-      EXPECT_EQ(indexed.total_calls, brute.total_calls) << entry.name;
-      EXPECT_EQ(indexed.agent_steps, brute.agent_steps) << entry.name;
-      if (backend == Backend::kDes) {
-        // Virtual time makes the whole schedule deterministic, so the
-        // scheduler statistics must match bit for bit. (Engine runs
-        // reach the same final state, but cluster formation there
-        // depends on real thread interleaving either way.)
-        EXPECT_EQ(indexed.clusters_dispatched, brute.clusters_dispatched)
-            << entry.name;
-        EXPECT_EQ(indexed.mean_cluster_size, brute.mean_cluster_size)
-            << entry.name;
-        EXPECT_EQ(indexed.mean_blockers, brute.mean_blockers) << entry.name;
-        EXPECT_EQ(indexed.metro_seconds, brute.metro_seconds) << entry.name;
-      }
-    }
-  }
-}
+// ---- Scoreboard strips and sparsity ----
 
 TEST(ScanModes, ShardedAndUnshardedDigestsAgreeOnEveryRegistryScenario) {
   // The sharding guarantee at the workload level: on every shipped

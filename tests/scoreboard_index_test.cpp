@@ -1,31 +1,41 @@
-// Differential tests for the index-backed scoreboard scan modes.
+// Differential tests for the index-backed scoreboard.
 //
-// ScanMode::kIndexed (spatial-index box probes on Chebyshev-bounded
-// metrics, graph-index BFS ball probes on hop metrics) must be observably
-// indistinguishable from the brute-force full-scan reference. The
-// randomized sweep lives in tests/support/differential.h — a reusable
-// harness that drives an indexed and a brute scoreboard through one
+// core::Scoreboard (spatial-index box probes on Chebyshev-bounded
+// metrics, graph-index BFS ball probes on hop metrics, region strips)
+// must be observably indistinguishable from the full-scan
+// ReferenceScoreboard in tests/support/reference_scoreboard.h. The
+// harness in tests/support/differential.h drives both boards through one
 // executor loop and compares the complete observable state after every
-// commit, with a one-line AIMETRO_DIFF_REPRO shrink mode for failures.
+// commit; it runs here on a randomized synthetic sweep (with a one-line
+// AIMETRO_DIFF_REPRO shrink mode for failures) and on the generated
+// traces of the scenario registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/metric.h"
 #include "core/scoreboard.h"
+#include "scenario/driver.h"
+#include "scenario/registry.h"
 #include "support/differential.h"
+#include "support/reference_scoreboard.h"
 
 namespace aimetro::core {
 namespace {
 
 using test_support::DiffCase;
 using test_support::DiffShape;
+using test_support::DriveCadence;
+using test_support::drive_boards;
 using test_support::parse_repro;
+using test_support::ReferenceScoreboard;
 using test_support::repro_string;
 using test_support::run_differential_sweep;
 
@@ -75,8 +85,93 @@ const std::vector<DiffShape>& sweep_shapes() {
   return kShapes;
 }
 
-TEST(ScoreboardDifferential, SweepIndexedMatchesBruteAcrossMetricsAndSeeds) {
+TEST(ScoreboardDifferential, SweepMatchesReferenceAcrossMetricsAndSeeds) {
   run_differential_sweep(sweep_shapes(), /*n_seeds=*/16);
+}
+
+/// Replays one scenario's generated trace through the production board
+/// and the reference, built the way the DES executor's metropolis mode
+/// builds its board: tile-centre positions, hop distance for graph
+/// traces (Euclidean otherwise), target = the window length, strips =
+/// the spec's resolved shard count. Each commit moves the cluster to its
+/// traced positions; the harness's seeded in-flight pick chooses which
+/// cluster commits next.
+void run_trace_differential(const scenario::ScenarioSpec& spec,
+                            DriveCadence cadence) {
+  SCOPED_TRACE(spec.name);
+  const trace::SimulationTrace tr = scenario::ScenarioDriver(spec).build_trace();
+  std::vector<Pos> initial;
+  for (AgentId a = 0; a < tr.n_agents; ++a) {
+    initial.push_back(tr.position_at(a, tr.start_step).center());
+  }
+  const DependencyParams params{tr.radius_p, tr.max_vel};
+  const std::shared_ptr<const Metric> metric =
+      tr.world_kind == trace::WorldKind::kGraph
+          ? std::make_shared<GraphMetric>(tr.graph_adjacency)
+          : make_euclidean();
+  Scoreboard board(params, metric, initial, tr.n_steps,
+                   spec.resolved_shards());
+  ReferenceScoreboard reference(params, metric, initial, tr.n_steps);
+  Rng rng(spec.seed);
+  drive_boards(
+      board, reference, rng,
+      [&tr](AgentId m, Step step) {
+        return tr.position_at(m, tr.start_step + step + 1).center();
+      },
+      /*floored_commits=*/board.shards() > 1, cadence);
+}
+
+TEST(ScoreboardDifferential, TraceReplayMatchesReferenceOnEveryRegistryScenario) {
+  // Every trace-bearing registry scenario on a 20-step busy-hour window,
+  // populations capped at 200 agents: full-state comparison after every
+  // commit, invariants every 101 commits (the production board's
+  // all-pairs check costs ~0.07 s on social_net's 20000-node graph) and
+  // at the end.
+  for (const auto& entry : scenario::registry_entries()) {
+    std::string error;
+    auto spec = scenario::find_scenario(entry.name, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    if (spec->map == scenario::MapKind::kArena) continue;  // no trace
+    spec->window_begin = 4320;
+    spec->window_end = 4340;
+    if (spec->agents > 200) {
+      spec->agents = 200;
+      spec->segments = std::min(spec->segments, 8);
+    }
+    ASSERT_EQ(scenario::validate_spec(*spec), "") << entry.name;
+    run_trace_differential(*spec, DriveCadence{1, 101});
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ScoreboardDifferential, TraceReplayMatchesReferenceAtThousandAgents) {
+  // The 1000-agent grid and graph scenarios at their registry windows
+  // (60 steps). Full-state comparison every 16 commits and at the end;
+  // invariants at the end.
+  for (const char* name : {"metro_ville1000", "social_net1000"}) {
+    std::string error;
+    const auto spec = scenario::find_scenario(name, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    run_trace_differential(*spec, DriveCadence{16, 0});
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ScoreboardConstruction, RejectsMetricsItCannotProbe) {
+  // A metric that is neither Chebyshev-bounded nor a graph metric has no
+  // probe the board could answer with; constructing a board over one is
+  // a checked error rather than a silent full scan.
+  class OpaqueMetric final : public Metric {
+   public:
+    double distance(const Pos& a, const Pos& b) const override {
+      return std::abs(a.x - b.x);
+    }
+    std::string name() const override { return "opaque"; }
+  };
+  EXPECT_THROW(Scoreboard(DependencyParams{4.0, 1.0},
+                          std::make_shared<OpaqueMetric>(),
+                          {Pos{0.0, 0.0}, Pos{10.0, 0.0}}, 3),
+               CheckError);
 }
 
 TEST(DifferentialHarness, ReproStringRoundTripsEveryShape) {
@@ -106,7 +201,7 @@ TEST(ScoreboardShards, PartitionClassifiesInteriorAndBorderCommits) {
       {625.0, 0.0},  // strip 2 interior
       {1000.0, 0.0}  // strip 3 edge anchor
   };
-  Scoreboard sb(params, make_euclidean(), initial, 5, ScanMode::kIndexed, 4);
+  Scoreboard sb(params, make_euclidean(), initial, 5, /*shards=*/4);
   ASSERT_EQ(sb.shards(), 4);
   EXPECT_EQ(sb.shard_of_pos(Pos{125.0, 0.0}), 0);
   EXPECT_EQ(sb.shard_of_pos(Pos{251.0, 0.0}), 1);
@@ -148,19 +243,15 @@ TEST(ScoreboardShards, PartitionClassifiesInteriorAndBorderCommits) {
 
 TEST(ScoreboardShards, NonIndexableModesCollapseToOneStrip) {
   const DependencyParams params{4.0, 1.0};
-  const std::vector<Pos> initial = {{0.0, 0.0}, {500.0, 0.0}, {1000.0, 0.0}};
-  Scoreboard brute(params, make_euclidean(), initial, 5,
-                   ScanMode::kBruteForce, 8);
-  EXPECT_EQ(brute.shards(), 1);
   auto metric = std::make_shared<GraphMetric>(
       std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1}});
   Scoreboard graph(params, metric,
                    {Pos{0.0, 0.0}, Pos{1.0, 0.0}, Pos{2.0, 0.0}}, 5,
-                   ScanMode::kIndexed, 8);
+                   /*shards=*/8);
   EXPECT_EQ(graph.shards(), 1);
   // Collapsed boards classify every commit as cross-shard (the engine
   // then always escalates, which is exactly the old global-lock path).
-  EXPECT_EQ(brute.local_commit_shard({{1, Pos{500.0, 0.0}}}, 0), -1);
+  EXPECT_EQ(graph.local_commit_shard({{1, Pos{2.0, 0.0}}}, 0), -1);
 }
 
 TEST(ScoreboardShards, ShardedRunToCompletionHoldsInvariants) {
@@ -173,7 +264,7 @@ TEST(ScoreboardShards, ShardedRunToCompletionHoldsInvariants) {
     initial.push_back(Pos{rng.uniform(0.0, 800.0), rng.uniform(0.0, 80.0)});
   }
   Scoreboard sb(DependencyParams{4.0, 1.0}, make_euclidean(), initial, 8,
-                ScanMode::kIndexed, 8);
+                /*shards=*/8);
   ASSERT_EQ(sb.shards(), 8);
   std::vector<AgentCluster> in_flight;
   std::uint64_t commits = 0;
@@ -207,30 +298,33 @@ TEST(ScoreboardShards, ShardedRunToCompletionHoldsInvariants) {
 TEST(ScoreboardIndex, GraphMetricRunsIndexedNotFallback) {
   // GraphMetric positions encode node ids, so the box index cannot serve
   // it — but the adjacency seam hands the scoreboard a GraphIndex, and
-  // indexed mode must genuinely use it (and still match brute force; the
-  // sweep above covers the matching at scale).
+  // the board must genuinely use it (and still match the full-scan
+  // reference; the sweep above covers the matching at scale).
   auto metric = std::make_shared<GraphMetric>(
       std::vector<std::vector<std::int32_t>>{{1}, {0, 2}, {1, 3}, {2, 4}, {3}});
   DependencyParams params{1.0, 0.0};
   std::vector<Pos> nodes;
   for (int i = 0; i < 5; ++i) nodes.push_back(Pos{static_cast<double>(i), 0});
-  Scoreboard indexed(params, metric, nodes, 6, ScanMode::kIndexed);
-  Scoreboard brute(params, metric, nodes, 6, ScanMode::kBruteForce);
+  Scoreboard indexed(params, metric, nodes, 6);
+  ReferenceScoreboard reference(params, metric, nodes, 6);
   EXPECT_TRUE(indexed.use_graph_index());
-  EXPECT_FALSE(brute.use_graph_index());
   while (!indexed.all_done()) {
     const auto ready_i = indexed.pop_ready_clusters();
-    const auto ready_b = brute.pop_ready_clusters();
-    ASSERT_EQ(ready_i.size(), ready_b.size());
+    const auto ready_r = reference.pop_ready_clusters();
+    ASSERT_EQ(ready_i.size(), ready_r.size());
+    for (std::size_t k = 0; k < ready_i.size(); ++k) {
+      ASSERT_EQ(ready_i[k].members, ready_r[k].members);
+    }
     for (const auto& c : ready_i) {
       std::vector<std::pair<AgentId, Pos>> moves;
       for (AgentId m : c.members) moves.emplace_back(m, indexed.pos_of(m));
       indexed.commit(moves);
-      brute.commit(moves);
+      reference.commit(moves);
     }
-    test_support::expect_scoreboards_equal(indexed, brute);
+    test_support::expect_scoreboards_equal(indexed, reference);
   }
   indexed.check_invariants();
+  reference.check_invariants();
 }
 
 TEST(ScoreboardIndex, MinStepIsMaintainedIncrementally) {
@@ -273,9 +367,8 @@ TEST(ScoreboardIndex, MinStepIsMaintainedIncrementally) {
 
 TEST(ScoreboardIndex, ThousandAgentRunHoldsInvariants) {
   // The scale the index exists for: 1000 agents, moderately dense, run to
-  // completion in indexed mode with full O(n^2) invariant checks at
-  // checkpoints (causality, edge symmetry, cluster bookkeeping, index
-  // consistency).
+  // completion with full O(n^2) invariant checks at checkpoints
+  // (causality, edge symmetry, cluster bookkeeping, index consistency).
   Rng rng(31);
   std::vector<Pos> initial;
   for (int i = 0; i < 1000; ++i) {

@@ -1,12 +1,13 @@
-// Reusable randomized differential harness for the scoreboard scan modes.
+// Reusable randomized differential harness for the scoreboard.
 //
-// The guarantee under test: ScanMode::kIndexed must be observably
-// indistinguishable from the brute-force full-scan reference — identical
-// ready-cluster sequences, identical edges, identical statistics — for any
-// metric, any workload shape, and any pop/commit schedule. The harness
-// drives an indexed and a brute scoreboard through the exact same
+// The guarantee under test: the production core::Scoreboard (index
+// probes, region strips) must be observably indistinguishable from the
+// full-scan ReferenceScoreboard (tests/support/reference_scoreboard.h) —
+// identical ready-cluster sequences, identical edges, identical
+// statistics — for any metric, any workload shape, and any pop/commit
+// schedule. The harness drives both boards through the exact same
 // randomized executor loop and compares the complete observable state
-// after every commit.
+// after every commit (drive_boards).
 //
 // A failing tuple prints a one-line repro string; re-running the sweep
 // with that string in the AIMETRO_DIFF_REPRO environment variable runs
@@ -23,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -35,6 +37,8 @@
 #include "core/metric.h"
 #include "core/scoreboard.h"
 #include "world/social_graph.h"
+
+#include "reference_scoreboard.h"  // tests/support/, next to this file
 
 namespace aimetro::test_support {
 
@@ -51,10 +55,10 @@ struct DiffShape {
   int graph_nodes = 0;
   int graph_degree = 4;
   double graph_rewire = 0.1;
-  /// Region partition of the *indexed* board; the brute board always runs
-  /// unsharded, so shards > 1 differentially tests the sharded strip
-  /// structure (border sets, per-strip cluster homes, lazy min) against
-  /// the flat reference through the same executor schedule.
+  /// Region partition of the production board (the reference has none),
+  /// so shards > 1 differentially tests the sharded strip structure
+  /// (border sets, per-strip cluster homes, lazy min) against the flat
+  /// reference through the same executor schedule.
   int shards = 1;
 };
 
@@ -122,7 +126,7 @@ inline std::optional<DiffCase> parse_repro(const std::string& text) {
 
 /// Every externally observable bit of both scoreboards must agree.
 inline void expect_scoreboards_equal(const core::Scoreboard& a,
-                                     const core::Scoreboard& b) {
+                                     const ReferenceScoreboard& b) {
   ASSERT_EQ(a.agent_count(), b.agent_count());
   for (std::size_t i = 0; i < a.agent_count(); ++i) {
     const auto id = static_cast<AgentId>(i);
@@ -134,8 +138,8 @@ inline void expect_scoreboards_equal(const core::Scoreboard& a,
   }
   ASSERT_EQ(a.min_step(), b.min_step());
   ASSERT_EQ(a.mean_blockers(), b.mean_blockers());
-  const core::ScoreboardStats& sa = a.stats();
-  const core::ScoreboardStats& sb = b.stats();
+  const core::ScoreboardStats sa = a.stats();
+  const core::ScoreboardStats sb = b.stats();
   ASSERT_EQ(sa.clusters_dispatched, sb.clusters_dispatched);
   ASSERT_EQ(sa.commits, sb.commits);
   ASSERT_EQ(sa.edges_added, sb.edges_added);
@@ -144,9 +148,82 @@ inline void expect_scoreboards_equal(const core::Scoreboard& a,
   ASSERT_EQ(sa.sum_cluster_sizes, sb.sum_cluster_sizes);
 }
 
+/// The position a cluster member commits for the step it just ran.
+using NextPos = std::function<Pos(AgentId member, Step step)>;
+
+/// How often drive_boards compares the boards and checks invariants.
+struct DriveCadence {
+  /// Full-state comparison every `compare_every` commits (and at the end).
+  std::uint64_t compare_every = 1;
+  /// Both boards' O(n^2) check_invariants every `check_every` commits
+  /// (and at the end); 0 = only at the end.
+  std::uint64_t check_every = 11;
+};
+
+/// Drive `board` and `reference` to completion through one executor loop.
+/// The ready sequences are asserted equal every round, so one shuffled
+/// commit pick and one set of moves drive both boards. Out-of-order
+/// pressure comes from committing a random in-flight cluster each round,
+/// which builds up real lag spreads and covers any commit order a DES or
+/// engine run could produce. With `floored_commits`, half the production
+/// commits (a seeded coin flip) carry the min_step() probe floor the
+/// threaded engine's interior commits use and first ask the boundary
+/// classifier (for crash coverage): a lower floor may only widen probes,
+/// never change state. Uses ASSERT_* throughout: the first divergence
+/// stops the run (callers check HasFatalFailure()).
+inline void drive_boards(core::Scoreboard& board, ReferenceScoreboard& reference,
+                         Rng& rng, const NextPos& next_pos,
+                         bool floored_commits, DriveCadence cadence = {}) {
+  expect_scoreboards_equal(board, reference);
+  if (::testing::Test::HasFatalFailure()) return;
+  std::vector<core::AgentCluster> in_flight;
+  std::uint64_t commits = 0;
+  while (!board.all_done()) {
+    auto ready = board.pop_ready_clusters();
+    const auto ready_ref = reference.pop_ready_clusters();
+    ASSERT_EQ(ready.size(), ready_ref.size()) << "after " << commits
+                                              << " commits";
+    for (std::size_t k = 0; k < ready.size(); ++k) {
+      ASSERT_EQ(ready[k].step, ready_ref[k].step);
+      ASSERT_EQ(ready[k].members, ready_ref[k].members);
+    }
+    for (auto& cl : ready) in_flight.push_back(std::move(cl));
+    ASSERT_FALSE(in_flight.empty()) << "scheduler stalled";
+    const std::size_t pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(in_flight.size()) - 1));
+    core::AgentCluster cluster = std::move(in_flight[pick]);
+    in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
+    std::vector<std::pair<AgentId, Pos>> moves;
+    for (AgentId m : cluster.members) {
+      moves.emplace_back(m, next_pos(m, cluster.step));
+    }
+    if (floored_commits && rng.bernoulli(0.5)) {
+      const Step floor = board.min_step();
+      (void)board.local_commit_shard(moves, floor);
+      board.commit(moves, floor);
+    } else {
+      board.commit(moves);
+    }
+    reference.commit(moves);
+    ++commits;
+    if (commits % cadence.compare_every == 0) {
+      expect_scoreboards_equal(board, reference);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (cadence.check_every != 0 && commits % cadence.check_every == 0) {
+      board.check_invariants();
+      reference.check_invariants();
+    }
+  }
+  EXPECT_TRUE(reference.all_done());
+  EXPECT_EQ(board.min_step(), board.target_step());
+  expect_scoreboards_equal(board, reference);
+  board.check_invariants();
+  reference.check_invariants();
+}
+
 /// Run one (shape, seed) tuple to completion, asserting equality after
-/// every commit. Uses ASSERT_* throughout: the first divergence stops the
-/// case (the caller checks HasFatalFailure() to stop the sweep).
+/// every commit.
 inline void run_differential_case(const DiffCase& c) {
   const DiffShape& shape = c.shape;
   const bool graph = std::string(shape.metric) == "graph";
@@ -182,87 +259,43 @@ inline void run_differential_case(const DiffCase& c) {
     }
   }
 
-  core::Scoreboard indexed(shape.params, metric, initial, shape.target,
-                           core::ScanMode::kIndexed, shape.shards);
-  core::Scoreboard brute(shape.params, metric, initial, shape.target,
-                         core::ScanMode::kBruteForce);
+  core::Scoreboard board(shape.params, metric, initial, shape.target,
+                         shape.shards);
+  ReferenceScoreboard reference(shape.params, metric, initial, shape.target);
   if (graph) {
     // Graph metrics collapse the partition; the request must be harmless.
-    EXPECT_EQ(indexed.shards(), 1);
+    EXPECT_EQ(board.shards(), 1);
   } else {
-    EXPECT_EQ(indexed.shards(), shape.shards);
+    EXPECT_EQ(board.shards(), shape.shards);
   }
-  expect_scoreboards_equal(indexed, brute);
 
-  // One executor loop drives both boards: the ready sequences are equal
-  // (asserted), so shuffled commit picks and randomized moves hit both
-  // identically. Out-of-order pressure comes from committing a random
-  // in-flight cluster each round, which builds up real lag spreads.
-  std::vector<core::AgentCluster> in_flight;
-  std::uint64_t commits = 0;
-  while (!indexed.all_done()) {
-    auto ready_i = indexed.pop_ready_clusters();
-    const auto ready_b = brute.pop_ready_clusters();
-    ASSERT_EQ(ready_i.size(), ready_b.size());
-    for (std::size_t k = 0; k < ready_i.size(); ++k) {
-      ASSERT_EQ(ready_i[k].step, ready_b[k].step);
-      ASSERT_EQ(ready_i[k].members, ready_b[k].members);
-    }
-    for (auto& cl : ready_i) in_flight.push_back(std::move(cl));
-    ASSERT_FALSE(in_flight.empty()) << "scheduler stalled";
-    const std::size_t pick = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(in_flight.size()) - 1));
-    core::AgentCluster cluster = std::move(in_flight[pick]);
-    in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
-    std::vector<std::pair<AgentId, Pos>> moves;
-    for (AgentId m : cluster.members) {
-      Pos pos = indexed.pos_of(m);
-      if (graph) {
-        // One hop along a random edge, or stay put: hop distance 1 or 0,
-        // legal whenever max_vel >= 1.
-        if (shape.params.max_vel >= 1.0 && rng.bernoulli(0.7)) {
-          const auto& nbrs =
-              adjacency[static_cast<std::size_t>(std::llround(pos.x))];
-          if (!nbrs.empty()) {
-            pos.x = static_cast<double>(nbrs[static_cast<std::size_t>(
-                rng.uniform_int(0,
-                                static_cast<std::int64_t>(nbrs.size()) - 1))]);
-          }
+  auto next_pos = [&](AgentId m, Step) {
+    Pos pos = board.pos_of(m);
+    if (graph) {
+      // One hop along a random edge, or stay put: hop distance 1 or 0,
+      // legal whenever max_vel >= 1.
+      if (shape.params.max_vel >= 1.0 && rng.bernoulli(0.7)) {
+        const auto& nbrs =
+            adjacency[static_cast<std::size_t>(std::llround(pos.x))];
+        if (!nbrs.empty()) {
+          pos.x = static_cast<double>(nbrs[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(nbrs.size()) - 1))]);
         }
-      } else {
-        const double angle = rng.uniform(0.0, 2.0 * M_PI);
-        const double dist = rng.uniform(0.0, shape.params.max_vel);
-        // Chebyshev displacement of a unit vector can exceed 1 only for
-        // Euclidean; scale so every metric sees a legal move.
-        const double scale =
-            std::string(shape.metric) == "euclidean" ? 1.0 : 0.5;
-        pos.x += std::cos(angle) * dist * scale;
-        pos.y += std::sin(angle) * dist * scale;
       }
-      moves.emplace_back(m, pos);
-    }
-    if (shape.shards > 1 && rng.bernoulli(0.5)) {
-      // Exercise the floored-probe path the threaded engine's interior
-      // commits use (plus the boundary classifier, for crash coverage):
-      // a lower floor may only widen probes, never change state.
-      const Step floor = indexed.min_step();
-      (void)indexed.local_commit_shard(moves, floor);
-      indexed.commit(moves, floor);
     } else {
-      indexed.commit(moves);
+      const double angle = rng.uniform(0.0, 2.0 * M_PI);
+      const double dist = rng.uniform(0.0, shape.params.max_vel);
+      // Chebyshev displacement of a unit vector can exceed 1 only for
+      // Euclidean; scale so every metric sees a legal move.
+      const double scale =
+          std::string(shape.metric) == "euclidean" ? 1.0 : 0.5;
+      pos.x += std::cos(angle) * dist * scale;
+      pos.y += std::sin(angle) * dist * scale;
     }
-    brute.commit(moves);
-    ++commits;
-    expect_scoreboards_equal(indexed, brute);
-    if (commits % 11 == 0) {
-      indexed.check_invariants();
-      brute.check_invariants();
-    }
-  }
-  EXPECT_TRUE(brute.all_done());
-  EXPECT_EQ(indexed.min_step(), shape.target);
-  indexed.check_invariants();
-  brute.check_invariants();
+    return pos;
+  };
+  drive_boards(board, reference, rng, next_pos,
+               /*floored_commits=*/shape.shards > 1);
 }
 
 /// Sweep shapes x seeds. When AIMETRO_DIFF_REPRO is set, run only the

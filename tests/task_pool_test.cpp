@@ -140,30 +140,6 @@ TEST(TaskPool, NestedSubmitAndWaitCannotDeadlock) {
   EXPECT_EQ(stats.tasks_executed + stats.tasks_inlined, 20u);
 }
 
-TEST(TaskPool, BoundedQueueAppliesBackpressureToExternalSubmitters) {
-  TaskPoolConfig cfg;
-  cfg.n_workers = 1;
-  cfg.max_queued = 1;
-  TaskPool pool(cfg);
-
-  std::promise<void> gate;
-  std::shared_future<void> open = gate.get_future().share();
-  pool.submit([open] { open.wait(); });  // occupies the only worker
-  pool.submit([] {});                    // fills the one queue slot
-
-  std::atomic<bool> third_submitted{false};
-  std::thread submitter([&pool, &third_submitted] {
-    pool.submit([] {});  // must block until the worker drains a slot
-    third_submitted = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_submitted.load());
-  gate.set_value();
-  submitter.join();
-  EXPECT_TRUE(third_submitted.load());
-  pool.wait_idle();
-}
-
 TEST(TaskPool, PeakInFlightTracksTheBacklogHighWaterMark) {
   TaskPool pool(1);
   std::promise<void> gate;
